@@ -1,7 +1,11 @@
 """Exact finite joint distributions and Shannon-measure primitives.
 
-Probabilities are :class:`fractions.Fraction` end to end; entropies are
-floats in bits (log base 2) compared with a single global tolerance
+Probabilities are exact rationals: a distribution holds its masses as
+integer counts over one common denominator N (the lcm of the support's
+denominators), and they cross the public boundary as
+:class:`fractions.Fraction`. Marginals, independence checks and entropies
+sum and compare those ints, never Fractions. Entropies are floats in bits
+(log base 2) compared with a single global tolerance
 (:data:`DEFAULT_TOLERANCE`). Determinism and independence checks are exact
 support checks, never tolerance checks. Whenever every marginal mass is a
 power-of-two reciprocal, an exact rational entropy is available through
@@ -52,37 +56,65 @@ class VariableId:
     index: int
 
 
-def entropy_of_masses(masses: Sequence[Fraction]) -> float:
-    """Shannon entropy in bits of a normalized list of positive masses."""
-    if not masses:
+def _entropy_of_counts(counts: Sequence[int], total: int) -> float:
+    """Shannon entropy in bits of masses c/N, given as positive integer
+    counts c over the common denominator N = `total`.
+
+    Each term is (c/N) * (log2(N/g) - log2(c/g)) with g = gcd(c, N), i.e.
+    the logs of the reduced fraction's denominator and numerator; counts are
+    sorted by the caller when order-independent output matters.
+    """
+    if not counts:
         raise EmptySupport("no masses to take entropy of")
-    first = masses[0]
-    if all(p == first for p in masses):
-        m = len(masses)
+    first = counts[0]
+    if all(c == first for c in counts):
+        m = len(counts)
         if m & (m - 1) == 0:
             return float(m.bit_length() - 1)
         return math.log2(m)
-    total = 0.0
-    # -p*log2(p) accumulated from exact numerator/denominator logs; masses
-    # are sorted by the caller when order-independent output matters.
-    for p in masses:
-        total += float(p) * (math.log2(p.denominator) - math.log2(p.numerator))
-    return total
+    log2, gcd = math.log2, math.gcd
+    result = 0.0
+    for c in counts:
+        g = gcd(c, total)
+        result += (c / total) * (log2(total // g) - log2(c // g))
+    return result
+
+
+def _exact_entropy_of_counts(counts: Iterable[int], total: int) -> Fraction | None:
+    """Exact entropy when every count is total / 2**k; None otherwise.
+
+    For such a mass -p*log2(p) = p*k is rational, so the sum is exact. A
+    projected mass can be dyadic even when N itself is not a power of two
+    (3/6 = 1/2), so the test is on N // c, not on N.
+    """
+    bits = 0
+    for c in counts:
+        if c <= 0:
+            return None
+        q, r = divmod(total, c)
+        if r or q & (q - 1):
+            return None
+        bits += c * (q.bit_length() - 1)
+    return Fraction(bits, total)
+
+
+def _counts_over_lcm(masses: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The masses as integer numerators over the lcm of their denominators."""
+    total = math.lcm(*(p.denominator for p in masses))
+    return [p.numerator * (total // p.denominator) for p in masses], total
+
+
+def entropy_of_masses(masses: Sequence[Fraction]) -> float:
+    """Shannon entropy in bits of a normalized list of positive masses."""
+    return _entropy_of_counts(*_counts_over_lcm(masses))
 
 
 def exact_entropy_of_masses(masses: Sequence[Fraction]) -> Fraction | None:
     """Exact entropy when every mass is 2**-k; None otherwise.
 
-    For such masses -p*log2(p) = p*k is rational, so the sum is exact. This
-    covers non-uniform dyadic mixtures such as {1/2, 1/4, 1/4}.
+    This covers non-uniform dyadic mixtures such as {1/2, 1/4, 1/4}.
     """
-    total = Fraction(0)
-    for p in masses:
-        den = p.denominator
-        if p.numerator != 1 or den & (den - 1) != 0:
-            return None
-        total += p * (den.bit_length() - 1)
-    return total
+    return _exact_entropy_of_counts(*_counts_over_lcm(masses))
 
 
 def _parse_probability(value) -> Fraction:
@@ -105,19 +137,25 @@ class JointDistribution:
 
     `support` holds only positive-mass outcomes, sorted canonically by
     per-variable alphabet position; probabilities sum to exactly one.
+    Internally the masses are also held as `_counts`, integer numerators
+    parallel to `support` over `_denominator`, the lcm N of the support's
+    denominators; every projection and entropy works on those ints.
     """
 
     variables: tuple[VariableId, ...]
     alphabets: tuple[tuple[Value, ...], ...]
     support: tuple[tuple[Outcome, Fraction], ...]
     _name_to_index: dict = field(init=False, repr=False, compare=False, hash=False)
-    _prob: dict = field(init=False, repr=False, compare=False, hash=False)
+    _denominator: int = field(init=False, repr=False, compare=False, hash=False)
+    _counts: tuple[int, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_name_to_index", {v.name: v.index for v in self.variables}
         )
-        object.__setattr__(self, "_prob", dict(self.support))
+        counts, total = _counts_over_lcm([p for _, p in self.support])
+        object.__setattr__(self, "_denominator", total)
+        object.__setattr__(self, "_counts", tuple(counts))
 
     # -- construction ---------------------------------------------------
 
@@ -166,15 +204,16 @@ class JointDistribution:
             raise EmptySupport("pmf has no positive-mass outcome")
         if len(pmf) > max_support:
             raise SupportTooLarge(f"support size {len(pmf)} exceeds cap {max_support}")
-        total = sum(pmf.values())
-        if total != 1:
-            raise SumNotOne(f"probabilities sum to {total}, not 1")
 
         pos = [{v: i for i, v in enumerate(a)} for a in alpha]
         ordered = sorted(
             pmf.items(), key=lambda item: tuple(pos[i][v] for i, v in enumerate(item[0]))
         )
-        return cls(var_ids, alpha, tuple(ordered))
+        d = cls(var_ids, alpha, tuple(ordered))
+        if sum(d._counts) != d._denominator:
+            total = Fraction(sum(d._counts), d._denominator)
+            raise SumNotOne(f"probabilities sum to {total}, not 1")
+        return d
 
     # -- variable resolution ---------------------------------------------
 
@@ -208,30 +247,34 @@ class JointDistribution:
 
     # -- core operations --------------------------------------------------
 
-    def _project_masses(self, indices: tuple[int, ...]) -> dict[Outcome, Fraction]:
-        masses: dict[Outcome, Fraction] = {}
-        for outcome, p in self.support:
-            key = tuple(outcome[i] for i in indices)
-            masses[key] = masses.get(key, Fraction(0)) + p
-        return masses
+    def _project_counts(self, indices: tuple[int, ...]) -> dict[Outcome, int]:
+        """Marginal counts over `_denominator`, keyed by projected outcome."""
+        counts: dict[Outcome, int] = {}
+        get = counts.get
+        for (outcome, _), c in zip(self.support, self._counts):
+            key = tuple([outcome[i] for i in indices])
+            counts[key] = get(key, 0) + c
+        return counts
 
     def marginal(self, group: GroupLike) -> "JointDistribution":
         """Exact marginal onto a nonempty subset of variables."""
         indices = self.resolve(group)
-        masses = self._project_masses(indices)
+        n = self._denominator
+        counts = self._project_counts(indices)
+        masses = [(key, Fraction(c, n)) for key, c in counts.items()]
         names = [self.variables[i].name for i in indices]
         alphabets = [self.alphabets[i] for i in indices]
-        return JointDistribution.from_pmf(masses.items(), names, alphabets)
+        return JointDistribution.from_pmf(masses, names, alphabets)
 
     def entropy(self, group: GroupLike) -> float:
         """H(group) in bits; exact integer for equal dyadic masses."""
-        masses = self._project_masses(self.resolve(group))
-        return entropy_of_masses(sorted(masses.values()))
+        counts = self._project_counts(self.resolve(group))
+        return _entropy_of_counts(sorted(counts.values()), self._denominator)
 
     def entropy_exact(self, group: GroupLike) -> Fraction | None:
         """Exact rational H(group) when all marginal masses are 2**-k."""
-        masses = self._project_masses(self.resolve(group))
-        return exact_entropy_of_masses(list(masses.values()))
+        counts = self._project_counts(self.resolve(group))
+        return _exact_entropy_of_counts(counts.values(), self._denominator)
 
     def conditional_entropy(self, group: GroupLike, given: GroupLike = ()) -> float:
         """H(group | given) = H(group ∪ given) - H(given)."""
@@ -277,18 +320,20 @@ class JointDistribution:
         if set(ia) & set(ib):
             return False
         joint = tuple(sorted(set(ia) | set(ib)))
-        pa = self._project_masses(ia)
-        pb = self._project_masses(ib)
-        pab = self._project_masses(joint)
-        # Rebuild each joint key from its a-part and b-part.
-        for va, mass_a in pa.items():
-            for vb, mass_b in pb.items():
-                parts = {}
-                parts.update(zip(ia, va))
-                parts.update(zip(ib, vb))
-                key = tuple(parts[i] for i in joint)
-                if pab.get(key, Fraction(0)) != mass_a * mass_b:
-                    return False
+        pa = self._project_counts(ia)
+        pb = self._project_counts(ib)
+        pab = self._project_counts(joint)
+        # Every product of positive marginal masses must appear in the joint.
+        if len(pab) != len(pa) * len(pb):
+            return False
+        n = self._denominator
+        at_a = [joint.index(i) for i in ia]
+        at_b = [joint.index(i) for i in ib]
+        for key, c_ab in pab.items():
+            c_a = pa[tuple([key[j] for j in at_a])]
+            c_b = pb[tuple([key[j] for j in at_b])]
+            if c_ab * n != c_a * c_b:
+                return False
         return True
 
     # -- serialization -----------------------------------------------------
@@ -477,8 +522,7 @@ def from_circuit(
         ordered = tuple(bits[b] for b in sorted(grouped))
         return ordered[0] if len(ordered) == 1 else ordered
 
-    mass = Fraction(1, 1 << nfree)
-    pmf: dict[Outcome, Fraction] = {}
+    hits: dict[Outcome, int] = {}
     for assignment in product((0, 1), repeat=nfree):
         bits = dict(zip(spec.free_bits, assignment))
         for name, operands in spec.xor_defs:
@@ -487,12 +531,16 @@ def from_circuit(
                 acc ^= bits[op]
             bits[name] = acc
         outcome = tuple(column_value(bits, grouped) for _, grouped in columns)
-        pmf[outcome] = pmf.get(outcome, Fraction(0)) + mass
+        hits[outcome] = hits.get(outcome, 0) + 1
 
     names = [name for name, _ in columns]
     alphabets = [
-        sorted({outcome[i] for outcome in pmf}) for i in range(len(columns))
+        sorted({outcome[i] for outcome in hits}) for i in range(len(columns))
     ]
+    total = 1 << nfree
     return JointDistribution.from_pmf(
-        pmf.items(), names, alphabets, max_support=max_support
+        [(outcome, Fraction(c, total)) for outcome, c in hits.items()],
+        names,
+        alphabets,
+        max_support=max_support,
     )

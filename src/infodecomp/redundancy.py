@@ -20,8 +20,8 @@ from .dist import (
     GroupLike,
     JointDistribution,
     Outcome,
-    entropy_of_masses,
-    exact_entropy_of_masses,
+    _entropy_of_counts,
+    _exact_entropy_of_counts,
 )
 from .errors import EmptySupport
 
@@ -73,7 +73,7 @@ def common_partition(
         raise EmptySupport("distribution has empty support")
     resolved = [d.resolve(g) for g in sources]
     outcomes = [outcome for outcome, _ in d.support]
-    masses = [p for _, p in d.support]
+    counts = d._counts
     uf = _UnionFind(len(outcomes))
     for indices in resolved:
         by_value: dict[Outcome, int] = {}
@@ -89,15 +89,15 @@ def common_partition(
     blocks = tuple(
         tuple(outcomes[pos] for pos in sorted(members[root])) for root in ordered_roots
     )
-    probs = tuple(
-        sum((masses[pos] for pos in members[root]), Fraction(0))
-        for root in ordered_roots
-    )
+    block_counts = [
+        sum([counts[pos] for pos in members[root]]) for root in ordered_roots
+    ]
+    n = d._denominator
     return CommonPartition(
         blocks=blocks,
-        block_probabilities=probs,
-        value=entropy_of_masses(sorted(probs)),
-        value_exact=exact_entropy_of_masses(list(probs)),
+        block_probabilities=tuple(Fraction(c, n) for c in block_counts),
+        value=_entropy_of_counts(sorted(block_counts), n),
+        value_exact=_exact_entropy_of_counts(block_counts, n),
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
@@ -218,6 +219,12 @@ def exact_rank(matrix: Sequence[Sequence[Number]]) -> int:
     return rank
 
 
+@cache
+def _sum_rule_rank() -> int:
+    """Rank of the constant sum-rule matrix, computed on first use."""
+    return exact_rank(SUM_RULE_MATRIX)
+
+
 @dataclass(frozen=True)
 class LinearSystemReport:
     residuals: tuple[Fraction, ...]
@@ -230,7 +237,7 @@ def verify_linear_system(
 ) -> LinearSystemReport:
     """Multiply the sum-rule matrix by the atom vector and compare with the
     entropy right-hand sides; also confirm the matrix has full row rank."""
-    rank = exact_rank(SUM_RULE_MATRIX)
+    rank = _sum_rule_rank()
     if rank != 9:
         raise RankDeficient(f"sum-rule matrix rank {rank}, expected 9")
     x = table.vector()

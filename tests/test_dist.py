@@ -1,5 +1,7 @@
 """Distribution construction, Shannon primitives, circuits and file formats."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,6 +9,7 @@ import pytest
 
 from infodecomp import CircuitSpec, JointDistribution, from_circuit
 from infodecomp.dist import DEFAULT_TOLERANCE as TOL
+from infodecomp.dist import entropy_of_masses, exact_entropy_of_masses
 from infodecomp.errors import (
     AlphabetViolation,
     CyclicDefinition,
@@ -255,3 +258,163 @@ class TestSerialization:
         path = tmp_path / "sys1.json"
         system1.dist.dump(path)
         assert JointDistribution.load(path) == system1.dist
+
+
+# --- the integer-count kernel against the Fraction formulas -----------------
+
+
+def fraction_masses(d, group):
+    """Marginal masses summed as Fractions, outcome by outcome."""
+    indices = d.resolve(group)
+    masses = {}
+    for outcome, p in d.support:
+        key = tuple(outcome[i] for i in indices)
+        masses[key] = masses.get(key, Fraction(0)) + p
+    return masses
+
+
+def fraction_entropy(masses):
+    """The float entropy formula on reduced Fractions, in sorted order."""
+    masses = sorted(masses)
+    m = len(masses)
+    if all(p == masses[0] for p in masses):
+        return float(m.bit_length() - 1) if m & (m - 1) == 0 else math.log2(m)
+    total = 0.0
+    for p in masses:
+        total += float(p) * (math.log2(p.denominator) - math.log2(p.numerator))
+    return total
+
+
+def fraction_exact_entropy(masses):
+    total = Fraction(0)
+    for p in masses:
+        if p.numerator != 1 or p.denominator & (p.denominator - 1):
+            return None
+        total += p * (p.denominator.bit_length() - 1)
+    return total
+
+
+def all_groups(d):
+    indices = range(len(d.variables))
+    return [g for k in range(1, len(d.variables) + 1) for g in combinations(indices, k)]
+
+
+def grid_system(rng, denominator=16):
+    """Four variables with 2-3 values and masses on a 1/denominator grid."""
+    sizes = [rng.choice((2, 3)) for _ in range(4)]
+    cells = list(product(*(range(k) for k in sizes)))
+    chosen = rng.sample(cells, rng.randint(1, min(len(cells), denominator)))
+    counts = [1] * len(chosen)
+    for _ in range(denominator - len(chosen)):
+        counts[rng.randrange(len(chosen))] += 1
+    return JointDistribution.from_pmf(
+        [(cell, Fraction(c, denominator)) for cell, c in zip(chosen, counts)],
+        ["W", "X", "Y", "Z"],
+        [list(range(k)) for k in sizes],
+    )
+
+
+def grid_systems(count=200, seed=3):
+    rng = random.Random(seed)
+    return [grid_system(rng) for _ in range(count)]
+
+
+def assert_kernel_matches_fractions(d):
+    for group in all_groups(d):
+        masses = list(fraction_masses(d, group).values())
+        assert repr(d.entropy(group)) == repr(fraction_entropy(masses)), group
+        assert repr(d.entropy_exact(group)) == repr(fraction_exact_entropy(masses)), group
+        marginal = d.marginal(group)
+        assert dict(marginal.support) == fraction_masses(d, group)
+
+
+class TestIntegerCounts:
+    def test_counts_are_numerators_over_the_lcm(self):
+        d = JointDistribution.from_pmf(
+            [((0,), "1/3"), ((1,), "1/6"), ((2,), "1/2")], ["X"], [list(range(3))]
+        )
+        assert d._denominator == 6
+        assert d._counts == (2, 1, 3)
+
+    def test_kernel_matches_fractions_on_the_corpus(self, corpus):
+        for d in corpus:
+            assert_kernel_matches_fractions(d)
+
+    def test_kernel_matches_fractions_on_grid_systems(self):
+        for d in grid_systems():
+            assert_kernel_matches_fractions(d)
+
+    def test_kernel_matches_fractions_on_a_twelve_bit_circuit(self):
+        bits = [f"x{i}" for i in range(12)]
+        spec = CircuitSpec.create(
+            bits,
+            {"y1": ["x0", "x4", "x8"], "y2": ["x1", "x5", "x9"]},
+            {"S1": bits[:4], "S2": bits[4:8], "S3": bits[8:]},
+            ["y1", "y2"],
+        )
+        d = from_circuit(spec)
+        assert len(d.support) == 4096
+        assert d._denominator == 4096
+        assert_kernel_matches_fractions(d)
+
+    def test_dyadic_marginal_of_a_non_dyadic_pmf_is_exact(self):
+        # N = 6 is not a power of two, but A's masses are 3/6 and 3/6.
+        d = JointDistribution.from_pmf(
+            [((0, 0), "1/3"), ((0, 1), "1/6"), ((1, 0), "1/2")],
+            ["A", "B"],
+            [BIT, BIT],
+        )
+        assert d.entropy_exact("A") == 1
+        assert d.entropy("A") == 1.0
+        assert d.entropy_exact("B") is None
+        assert d.entropy_exact(["A", "B"]) is None
+
+    def test_mass_wrappers_agree_with_the_fraction_formulas(self):
+        cases = [
+            [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)],
+            [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+            [Fraction(1, 3)] * 3,
+            [Fraction(1, 4)] * 4,
+            [Fraction(3, 16), Fraction(5, 16), Fraction(1, 2)],
+        ]
+        for masses in cases:
+            assert repr(entropy_of_masses(masses)) == repr(fraction_entropy(masses))
+            assert exact_entropy_of_masses(masses) == fraction_exact_entropy(masses)
+        assert exact_entropy_of_masses([Fraction(0), Fraction(1)]) is None
+        with pytest.raises(EmptySupport):
+            entropy_of_masses([])
+
+    def test_independence_agrees_with_brute_force_factorization(self, system1, system2):
+        systems = grid_systems(count=120, seed=11) + [system1.dist, system2.dist]
+        # Product pmfs, so that the factorizing case is exercised too.
+        rng = random.Random(5)
+        for _ in range(20):
+            px = [Fraction(c, 8) for c in (1, 3, 4)]
+            py = [Fraction(c, 6) for c in rng.choice([(1, 5), (2, 4), (3, 3)])]
+            systems.append(
+                JointDistribution.from_pmf(
+                    [((x, y, x), px[x] * py[y]) for x, y in product(range(3), range(2))],
+                    ["X", "Y", "Z"],
+                    [list(range(3)), BIT, list(range(3))],
+                )
+            )
+        factorized = 0
+        for d in systems:
+            groups = all_groups(d)
+            for a in groups:
+                for b in groups:
+                    if set(a) & set(b):
+                        continue
+                    joint = tuple(sorted(a + b))
+                    pa, pb = fraction_masses(d, a), fraction_masses(d, b)
+                    pab = fraction_masses(d, joint)
+                    expected = all(
+                        pab.get(tuple(dict(zip(a + b, va + vb))[i] for i in joint), 0)
+                        == ma * mb
+                        for va, ma in pa.items()
+                        for vb, mb in pb.items()
+                    )
+                    assert d.is_independent(a, b) == expected, (a, b)
+                    factorized += expected
+        assert factorized > 0
+

@@ -7,6 +7,7 @@ import pytest
 
 from infodecomp import JointDistribution, common_partition, red2, red3
 from infodecomp.dist import DEFAULT_TOLERANCE as TOL
+from infodecomp.dist import entropy_of_masses, exact_entropy_of_masses
 from conftest import SOURCES_ABC, gk_bruteforce
 
 BIT = [0, 1]
@@ -148,3 +149,19 @@ class TestMaximalityOracle:
             if checked >= 80:
                 break
         assert checked >= 20
+
+
+class TestBlockProbabilities:
+    def test_block_masses_are_the_fraction_sums_of_their_outcomes(self, corpus, system1):
+        for d in corpus + [system1.dist, pair_and_join(), copy_triple()]:
+            sources = [(0,), (1,), (2,)]
+            part = common_partition(d, sources)
+            mass = dict(d.support)
+            expected = tuple(
+                sum((mass[o] for o in block), Fraction(0)) for block in part.blocks
+            )
+            assert part.block_probabilities == expected
+            assert all(type(p) is Fraction for p in part.block_probabilities)
+            assert repr(part.value) == repr(entropy_of_masses(sorted(expected)))
+            assert part.value_exact == exact_entropy_of_masses(expected)
+
