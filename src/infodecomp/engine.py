@@ -37,9 +37,14 @@ Source-permutation symmetry generates no constraints: atoms are indexed by
 antichains, which are order-free already (flagged here rather than silently
 dropped).
 
-Interval arithmetic is exact (Fractions); measured information values enter
-as exact rationals where the distribution's dyadic structure allows, and as
+Interval arithmetic is exact. Measured information values enter as exact
+rationals where the distribution's dyadic structure allows, and as
 exactly-embedded floats (snapped to integers within tolerance) otherwise.
+``propagate`` compiles the rows once per call: atoms become their positions,
+and every right-hand side and bound becomes an integer over one common
+denominator, so the fixed point runs on ints; results come back as
+Fractions. The part of the system that no measurement changes (atoms, fixed
+rows, down-set terms) is enumerated once per process, on first use.
 
 A ``DeductionState`` is single-owner mutable while propagating; once
 propagation finishes it should be treated as read-only. Independent systems
@@ -50,24 +55,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
-from .errors import ArityUnsupported, StateStillOpen
+from .errors import ArityUnsupported, PropagationDidNotConverge, StateStillOpen
 from .lattice import Antichain, enumerate_full, leq
 
 Scope = tuple[int, ...]
-
-KIND_ORDER = (
-    "Nonnegativity",
-    "SelfRedundancy",
-    "IndependentIdentityZero",
-    "DeterminismZero",
-    "CrossScale",
-    "MutualSum",
-    "Monotonicity",
-)
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,10 @@ class AtomRef:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Linear constraint sum(coeff * atom) relation rhs."""
+    """Linear constraint sum(coeff * atom) relation rhs.
+
+    Every coefficient is +1 or -1; ``propagate`` refuses any other.
+    """
 
     kind: str
     terms: tuple[tuple[AtomRef, Fraction], ...]
@@ -137,6 +137,8 @@ class DeductionState:
     status: str = "open"
     certificate: Certificate | None = None
     propagated: bool = field(default=False)
+    # (atom position, side) -> (value * scale, scale, row, "min" or "max") of
+    # the last bound that improved that side; certificates are built from it.
     _trace: dict = field(default_factory=dict, repr=False)
 
     def refs(self) -> tuple[AtomRef, ...]:
@@ -193,6 +195,187 @@ def _relabel_nodes(n: int, scope: Scope) -> tuple[Antichain, ...]:
     return tuple(node.relabel(mapping) for node in enumerate_full(n).nodes)
 
 
+def _scope_str(s: Scope) -> str:
+    return "{" + ",".join(str(i) for i in s) + "}"
+
+
+_Terms = tuple[tuple[AtomRef, Fraction], ...]
+
+
+class _Skeleton(NamedTuple):
+    """What the three-source constraint system holds before anything is
+    measured: the 33 atoms, every row whose right-hand side is fixed, and the
+    terms and provenance of the rows whose right-hand side is a measured
+    information, ``(subset, terms, provenance)`` with rhs I(subset;T).
+
+    Each group is in the order ``build_constraints`` emits it; the MutualSum
+    rows are sorted so that within a scope size the widest down-set comes
+    first, and an infeasible total trips at the full down-set.
+    """
+
+    scopes: tuple[Scope, ...]
+    refs: tuple[AtomRef, ...]
+    nonnegativity: tuple[Constraint, ...]
+    self_redundancy: tuple[tuple[Scope, _Terms, str], ...]
+    independent_identity: dict[tuple[int, int], Constraint]
+    determinism: dict[int, tuple[Constraint, ...]]
+    cross_scale: tuple[Constraint, ...]
+    mutual_sums: tuple[tuple[Scope, _Terms, str], ...]
+    monotonicity: tuple[Constraint, ...]
+
+
+@cache
+def _skeleton() -> _Skeleton:
+    """Enumerate the lattice skeleton once, on first use."""
+    one, minus = Fraction(1), Fraction(-1)
+    full_scope: Scope = (1, 2, 3)
+    scopes: tuple[Scope, ...] = tuple(
+        s for size in (1, 2, 3) for s in combinations(full_scope, size)
+    )
+    nodes = {s: _relabel_nodes(len(s), s) for s in scopes}
+    refs = tuple(AtomRef(s, node) for s in scopes for node in nodes[s])
+    # Every row refers to the very objects in ``refs``, which lets
+    # ``_compile`` resolve atoms by identity.
+    canonical = {ref: ref for ref in refs}
+
+    def atom(scope: Scope, *elements) -> AtomRef:
+        return canonical[AtomRef(scope, Antichain.of(elements))]
+
+    def row(kind: str, terms, relation: str, provenance: str) -> Constraint:
+        return Constraint(kind, tuple(terms), relation, Fraction(0), provenance)
+
+    nonnegativity = tuple(
+        row("Nonnegativity", ((ref, minus),), "le", f"nonnegativity of {ref}")
+        for ref in refs
+    )
+    self_redundancy = tuple(
+        (
+            (i,),
+            ((atom((i,), (i,)), one),),
+            f"self-redundancy: information of source {i} about the target",
+        )
+        for i in full_scope
+    )
+    independent_identity = {
+        (i, j): row(
+            "IndependentIdentityZero",
+            ((atom((i, j), (i,), (j,)), one),),
+            "le",
+            f"independent-identity: sources {i},{j} independent and target "
+            f"equivalent to their join, so their shared atom vanishes",
+        )
+        for i, j in combinations(full_scope, 2)
+    }
+    determinism = {}
+    for i in full_scope:
+        rest = tuple(x for x in full_scope if x != i)
+        determinism[i] = tuple(
+            row(
+                "DeterminismZero",
+                ((canonical[AtomRef(full_scope, node)], one),),
+                "le",
+                f"determinism: sources {rest[0]},{rest[1]} provide the whole "
+                f"system, atom {node} uses no piece of them",
+            )
+            for node in nodes[full_scope]
+            if not any(set(e) <= set(rest) for e in node.elements)
+        )
+
+    # Refinement identities across scopes.
+    cross_scale = []
+    for i, j in combinations(full_scope, 2):
+        pair: Scope = (i, j)
+        for a in (i, j):
+            cross_scale.append(row(
+                "CrossScale",
+                (
+                    (atom((a,), (a,)), one),
+                    (atom(pair, (i,), (j,)), minus),
+                    (atom(pair, (a,)), minus),
+                ),
+                "eq",
+                f"cross-scale: source {a}'s information splits over scope "
+                f"{_scope_str(pair)} into shared and exclusive parts",
+            ))
+        cross_scale.append(row(
+            "CrossScale",
+            (
+                (atom(pair, (i,), (j,)), one),
+                (atom(full_scope, (1,), (2,), (3,)), minus),
+                (atom(full_scope, (i,), (j,)), minus),
+            ),
+            "eq",
+            f"cross-scale: the shared atom of {_scope_str(pair)} splits into the "
+            "all-way shared atom and the pair-only atom of the full scope",
+        ))
+    for i in full_scope:
+        for j in full_scope:
+            if j == i:
+                continue
+            k = next(x for x in full_scope if x not in (i, j))
+            cross_scale.append(row(
+                "CrossScale",
+                (
+                    (atom(tuple(sorted((i, j))), (i,)), one),
+                    (atom(full_scope, (i,), (k,)), minus),
+                    (atom(full_scope, (i,), tuple(sorted((j, k)))), minus),
+                    (atom(full_scope, (i,)), minus),
+                ),
+                "eq",
+                f"cross-scale: source {i}'s part exclusive of {j} splits at the "
+                "full scope",
+            ))
+
+    mutual_sums = []
+    for scope in scopes[3:]:
+        for size in range(1, len(scope) + 1):
+            for subset in combinations(scope, size):
+                alpha = Antichain.of([subset])
+                terms = tuple(
+                    (canonical[AtomRef(scope, node)], one)
+                    for node in nodes[scope]
+                    if leq(node, alpha)
+                )
+                provenance = (
+                    f"sum rule: atoms of scope {_scope_str(scope)} dominated by "
+                    f"{_scope_str(subset)} add up to I({_scope_str(subset)};T)"
+                )
+                mutual_sums.append(((len(scope), -len(terms)), (subset, terms, provenance)))
+    # Within a scope size the widest down-set first; the sort is stable.
+    mutual_sums.sort(key=lambda keyed: keyed[0])
+
+    monotonicity = []
+    for i, j in combinations(full_scope, 2):
+        pair_red = atom((i, j), (i,), (j,))
+        for single in (i, j):
+            monotonicity.append(row(
+                "Monotonicity",
+                ((pair_red, one), (atom((single,), (single,)), minus)),
+                "le",
+                f"monotonicity: redundancy of {_scope_str((i, j))} cannot exceed "
+                f"source {single}'s information",
+            ))
+        monotonicity.append(row(
+            "Monotonicity",
+            ((atom(full_scope, (1,), (2,), (3,)), one), (pair_red, minus)),
+            "le",
+            "monotonicity: all-way redundancy cannot exceed the redundancy of "
+            f"{_scope_str((i, j))}",
+        ))
+
+    return _Skeleton(
+        scopes=scopes,
+        refs=refs,
+        nonnegativity=nonnegativity,
+        self_redundancy=self_redundancy,
+        independent_identity=independent_identity,
+        determinism=determinism,
+        cross_scale=tuple(cross_scale),
+        mutual_sums=tuple(row for _, row in mutual_sums),
+        monotonicity=tuple(monotonicity),
+    )
+
+
 def build_constraints(
     d: JointDistribution,
     sources: Sequence[GroupLike],
@@ -206,6 +389,11 @@ def build_constraints(
     every scope to its measured information; ``"singletons"`` anchors only
     single-source subsets, leaving multi-source sums tied across scopes by
     the cross-scale identities but not pinned to measured values.
+
+    Rows come grouped by kind, in the order Nonnegativity, SelfRedundancy,
+    IndependentIdentityZero, DeterminismZero, CrossScale, MutualSum,
+    Monotonicity. Propagation visits rows in this order, so it decides which
+    row a contradiction trips at, and with it the certificate.
     """
     if len(sources) != 3:
         raise ArityUnsupported("the deduction engine supports exactly 3 sources")
@@ -217,275 +405,149 @@ def build_constraints(
         "+".join(d.variables[i].name for i in g) for g in groups
     )
     target_name = "+".join(d.variables[i].name for i in tgt)
-
-    scopes: list[Scope] = [
-        tuple(s)
-        for size in (1, 2, 3)
-        for s in combinations((1, 2, 3), size)
-    ]
-    nodes: dict[Scope, tuple[Antichain, ...]] = {
-        s: _relabel_nodes(len(s), s) for s in scopes
-    }
-    intervals = {
-        AtomRef(s, node): Interval() for s in scopes for node in nodes[s]
-    }
+    skeleton = _skeleton()
 
     def union_indices(scope: Scope) -> tuple[int, ...]:
         return tuple(sorted({i for member in scope for i in groups[member - 1]}))
 
     mi: dict[Scope, Fraction] = {}
-    for s in scopes:
+    for s in skeleton.scopes:
         sel = union_indices(s)
         exact = d.mutual_information_exact(sel, tgt)
         mi[s] = exact if exact is not None else _snap(d.mutual_information(sel, tgt), tol)
 
-    constraints: list[Constraint] = []
-    firings: list[str] = []
-
-    def scope_str(s: Scope) -> str:
-        return "{" + ",".join(str(i) for i in s) + "}"
-
-    for ref in intervals:
-        constraints.append(
-            Constraint(
-                "Nonnegativity",
-                ((ref, Fraction(-1)),),
-                "le",
-                Fraction(0),
-                f"nonnegativity of {ref}",
-            )
-        )
-
-    for i in (1, 2, 3):
-        ref = AtomRef((i,), Antichain.of([(i,)]))
-        constraints.append(
-            Constraint(
-                "SelfRedundancy",
-                ((ref, Fraction(1)),),
-                "eq",
-                mi[(i,)],
-                f"self-redundancy: information of source {i} about the target",
-            )
-        )
-
     # Exact structural facts about the distribution.
+    firings: list[str] = []
+    structural: list[Constraint] = []
     for i, j in combinations((1, 2, 3), 2):
         union = union_indices((i, j))
         independent = d.is_independent(groups[i - 1], groups[j - 1])
         equivalent = d.is_deterministic(tgt, union) and d.is_deterministic(union, tgt)
         if independent and equivalent:
-            ref = AtomRef((i, j), Antichain.of([(i,), (j,)]))
             firings.append(
                 f"independent-identity fired for sources {i},{j}: independent pair, "
                 "target informationally equivalent to their join"
             )
-            constraints.append(
-                Constraint(
-                    "IndependentIdentityZero",
-                    ((ref, Fraction(1)),),
-                    "le",
-                    Fraction(0),
-                    f"independent-identity: sources {i},{j} independent and target "
-                    f"equivalent to their join, so their shared atom vanishes",
-                )
-            )
-
-    full_scope: Scope = (1, 2, 3)
+            structural.append(skeleton.independent_identity[(i, j)])
     for i in (1, 2, 3):
         rest = tuple(x for x in (1, 2, 3) if x != i)
-        rest_union = union_indices(rest)
         covered = tuple(sorted(set(tgt) | set(groups[i - 1])))
-        if d.is_deterministic(covered, rest_union):
+        if d.is_deterministic(covered, union_indices(rest)):
             firings.append(
                 f"determinism fired for source {i}: sources {rest[0]},{rest[1]} "
                 f"determine the target and source {i}"
             )
-            rest_set = set(rest)
-            for node in nodes[full_scope]:
-                if not any(set(e) <= rest_set for e in node.elements):
-                    ref = AtomRef(full_scope, node)
-                    constraints.append(
-                        Constraint(
-                            "DeterminismZero",
-                            ((ref, Fraction(1)),),
-                            "le",
-                            Fraction(0),
-                            f"determinism: sources {rest[0]},{rest[1]} provide the whole "
-                            f"system, atom {node} uses no piece of them",
-                        )
-                    )
+            structural.extend(skeleton.determinism[i])
 
-    # Refinement identities across scopes.
-    for i, j in combinations((1, 2, 3), 2):
-        pair: Scope = (i, j)
-        for a, b in ((i, j), (j, i)):
-            constraints.append(
-                Constraint(
-                    "CrossScale",
-                    (
-                        (AtomRef((a,), Antichain.of([(a,)])), Fraction(1)),
-                        (AtomRef(pair, Antichain.of([(i,), (j,)])), Fraction(-1)),
-                        (AtomRef(pair, Antichain.of([(a,)])), Fraction(-1)),
-                    ),
-                    "eq",
-                    Fraction(0),
-                    f"cross-scale: source {a}'s information splits over scope "
-                    f"{scope_str(pair)} into shared and exclusive parts",
-                )
-            )
-        constraints.append(
-            Constraint(
-                "CrossScale",
-                (
-                    (AtomRef(pair, Antichain.of([(i,), (j,)])), Fraction(1)),
-                    (AtomRef(full_scope, Antichain.of([(1,), (2,), (3,)])), Fraction(-1)),
-                    (AtomRef(full_scope, Antichain.of([(i,), (j,)])), Fraction(-1)),
-                ),
-                "eq",
-                Fraction(0),
-                f"cross-scale: the shared atom of {scope_str(pair)} splits into the "
-                "all-way shared atom and the pair-only atom of the full scope",
-            )
-        )
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if j == i:
-                continue
-            k = next(x for x in (1, 2, 3) if x not in (i, j))
-            pair = tuple(sorted((i, j)))
-            constraints.append(
-                Constraint(
-                    "CrossScale",
-                    (
-                        (AtomRef(pair, Antichain.of([(i,)])), Fraction(1)),
-                        (AtomRef(full_scope, Antichain.of([(i,), (k,)])), Fraction(-1)),
-                        (
-                            AtomRef(full_scope, Antichain.of([(i,), tuple(sorted((j, k)))])),
-                            Fraction(-1),
-                        ),
-                        (AtomRef(full_scope, Antichain.of([(i,)])), Fraction(-1)),
-                    ),
-                    "eq",
-                    Fraction(0),
-                    f"cross-scale: source {i}'s part exclusive of {j} splits at the "
-                    "full scope",
-                )
-            )
+    def measured(kind: str, rows) -> list[Constraint]:
+        return [
+            Constraint(kind, terms, "eq", mi[subset], provenance)
+            for subset, terms, provenance in rows
+            if mutual_sums == "all" or len(subset) == 1
+        ]
 
-    for scope in scopes:
-        if len(scope) == 1:
-            continue
-        for size in range(1, len(scope) + 1):
-            for subset in combinations(scope, size):
-                if mutual_sums == "singletons" and len(subset) > 1:
-                    continue
-                alpha = Antichain.of([subset])
-                terms = tuple(
-                    (AtomRef(scope, node), Fraction(1))
-                    for node in nodes[scope]
-                    if leq(node, alpha)
-                )
-                constraints.append(
-                    Constraint(
-                        "MutualSum",
-                        terms,
-                        "eq",
-                        mi[subset],
-                        f"sum rule: atoms of scope {scope_str(scope)} dominated by "
-                        f"{scope_str(subset)} add up to I({scope_str(subset)};T)",
-                    )
-                )
-
-    for i, j in combinations((1, 2, 3), 2):
-        pair = (i, j)
-        pair_red = AtomRef(pair, Antichain.of([(i,), (j,)]))
-        for single in (i, j):
-            constraints.append(
-                Constraint(
-                    "Monotonicity",
-                    (
-                        (pair_red, Fraction(1)),
-                        (AtomRef((single,), Antichain.of([(single,)])), Fraction(-1)),
-                    ),
-                    "le",
-                    Fraction(0),
-                    f"monotonicity: redundancy of {scope_str(pair)} cannot exceed "
-                    f"source {single}'s information",
-                )
-            )
-        constraints.append(
-            Constraint(
-                "Monotonicity",
-                (
-                    (AtomRef(full_scope, Antichain.of([(1,), (2,), (3,)])), Fraction(1)),
-                    (pair_red, Fraction(-1)),
-                ),
-                "le",
-                Fraction(0),
-                "monotonicity: all-way redundancy cannot exceed the redundancy of "
-                f"{scope_str(pair)}",
-            )
-        )
-
-    order = {kind: pos for pos, kind in enumerate(KIND_ORDER)}
-
-    def sort_key(item):
-        idx, c = item
-        if c.kind == "MutualSum":
-            # Larger scopes first within equal scope size is irrelevant; what
-            # matters is that a scope's widest subset sum is checked first so
-            # an infeasible total trips at the full down-set.
-            return (order[c.kind], len(c.terms[0][0].scope), -len(c.terms), idx)
-        return (order[c.kind], 0, 0, idx)
-
-    ordered = tuple(c for _, c in sorted(enumerate(constraints), key=sort_key))
+    constraints = (
+        *skeleton.nonnegativity,
+        *measured("SelfRedundancy", skeleton.self_redundancy),
+        *structural,
+        *skeleton.cross_scale,
+        *measured("MutualSum", skeleton.mutual_sums),
+        *skeleton.monotonicity,
+    )
     return DeductionState(
         source_names=names,
         target_name=target_name,
-        constraints=ordered,
-        intervals=intervals,
+        constraints=constraints,
+        intervals={ref: Interval() for ref in skeleton.refs},
         mutual_info=mi,
         mode=mutual_sums,
         firings=tuple(firings),
     )
 
 
-def _term_bounds(
-    terms: tuple[tuple[AtomRef, Fraction], ...], intervals: dict[AtomRef, Interval]
-):
-    """Per-term (lo, hi) contributions; None encodes the unbounded side."""
-    lows, highs = [], []
-    for ref, coeff in terms:
-        iv = intervals[ref]
-        if coeff > 0:
-            lows.append(None if iv.lo is None else coeff * iv.lo)
-            highs.append(None if iv.hi is None else coeff * iv.hi)
+# --- propagation over the compiled rows ---------------------------------------
+#
+# Atoms are their positions in ``state.intervals``. Every value is scaled by
+# L, the lcm of the denominators of every right-hand side and every finite
+# starting bound; with coefficients of +1 and -1 only, every bound that
+# propagation derives is an integer multiple of 1/L, so the fixed point runs
+# on ints. Both bound lists hold upper bounds, ``hi[a] >= x_a`` and
+# ``neg_lo[a] >= -x_a`` (None for infinity), so every tightening is a
+# decrease. A compiled term of a row is ``(a, most, neg_least, most_side,
+# least_side)``: the term's greatest value is ``most[a]``, its least is
+# ``-neg_least[a]``, and the sides name the interval ends those come from.
+
+_Term = tuple[int, list, list, str, str]
+_Row = tuple[tuple[_Term, ...], int, bool]
+
+
+def _compile(state: DeductionState) -> tuple[list[_Row], int, list, list]:
+    """``state.constraints`` and ``state.intervals`` as integers over L:
+    the compiled rows, L, and the bound lists ``hi`` and ``neg_lo``."""
+    position = {ref: a for a, ref in enumerate(state.intervals)}
+    # Rows from build_constraints share their AtomRef and coefficient objects,
+    # so most terms resolve by identity, without hashing a dataclass or
+    # comparing a Fraction; the lookups by value are the fallback.
+    by_id = {id(ref): a for ref, a in position.items()}
+    signs: dict[int, int] = {}
+    denominators = {c.rhs.denominator for c in state.constraints}
+    for iv in state.intervals.values():
+        for bound in (iv.lo, iv.hi):
+            if bound is not None:
+                denominators.add(bound.denominator)
+    scale = lcm(*denominators)
+
+    def scaled(value: Fraction | None, sign: int) -> int | None:
+        return None if value is None else sign * value.numerator * (scale // value.denominator)
+
+    hi = [scaled(iv.hi, 1) for iv in state.intervals.values()]
+    neg_lo = [scaled(iv.lo, -1) for iv in state.intervals.values()]
+    plus, minus = (hi, neg_lo, "hi", "lo"), (neg_lo, hi, "lo", "hi")
+    rows = []
+    for cidx, c in enumerate(state.constraints):
+        terms = []
+        for ref, coeff in c.terms:
+            a = by_id.get(id(ref))
+            if a is None:
+                a = position[ref]
+            sign = signs.get(id(coeff))
+            if sign is None:
+                if coeff != 1 and coeff != -1:
+                    raise ValueError(
+                        f"constraint {cidx} ({c.kind}) has coefficient {coeff}; "
+                        "propagation supports only +1 and -1"
+                    )
+                sign = signs[id(coeff)] = 1 if coeff > 0 else -1
+            terms.append((a, *(plus if sign > 0 else minus)))
+        rows.append((tuple(terms), scaled(c.rhs, 1), c.relation == "eq"))
+    return rows, scale, hi, neg_lo
+
+
+def _row_bounds(terms) -> tuple[int, int, int, int]:
+    """Least and greatest finite LHS sums and how many terms are unbounded."""
+    lo_sum = hi_sum = lo_missing = hi_missing = 0
+    for a, most, neg_least, _, _ in terms:
+        least = neg_least[a]
+        if least is None:
+            lo_missing += 1
         else:
-            lows.append(None if iv.hi is None else coeff * iv.hi)
-            highs.append(None if iv.lo is None else coeff * iv.lo)
-    return lows, highs
-
-
-def _finite_sum(parts: list[Fraction | None]) -> tuple[Fraction, int]:
-    total = Fraction(0)
-    missing = 0
-    for p in parts:
-        if p is None:
-            missing += 1
+            lo_sum -= least
+        greatest = most[a]
+        if greatest is None:
+            hi_missing += 1
         else:
-            total += p
-    return total, missing
+            hi_sum += greatest
+    return lo_sum, lo_missing, hi_sum, hi_missing
 
 
-def _used_bounds(terms, which: str) -> tuple[tuple[AtomRef, str], ...]:
-    """Which interval sides produced the min (or max) of the constraint LHS."""
-    used = []
-    for ref, coeff in terms:
-        if which == "min":
-            used.append((ref, "lo" if coeff > 0 else "hi"))
-        else:
-            used.append((ref, "hi" if coeff > 0 else "lo"))
-    return tuple(used)
+def _used(terms, which: str, skip: int = -1) -> tuple[tuple[int, str], ...]:
+    """Which interval sides gave the min (or max) of a row's LHS, leaving out
+    the terms of atom ``skip``."""
+    return tuple(
+        (a, least_side if which == "min" else most_side)
+        for a, _, _, most_side, least_side in terms
+        if a != skip
+    )
 
 
 def propagate(state: DeductionState, max_passes: int = 200) -> DeductionState:
@@ -495,115 +557,137 @@ def propagate(state: DeductionState, max_passes: int = 200) -> DeductionState:
     box, then tightens each term through the constraint. Detection happens
     before application, so a contradiction never corrupts the intervals: the
     state freezes with every previously forced value intact.
-    """
-    intervals = state.intervals
-    trace: dict[tuple[AtomRef, str], BoundEvent] = state._trace
 
-    def apply_bound(
-        ref: AtomRef, side: str, value: Fraction, cidx: int, used
-    ) -> bool:
-        iv = intervals[ref]
-        current = iv.lo if side == "lo" else iv.hi
-        better = current is None or (value > current if side == "lo" else value < current)
-        if not better:
-            return False
-        if side == "lo":
-            iv.lo = value
-        else:
-            iv.hi = value
-        trace[(ref, side)] = BoundEvent(ref, side, value, cidx, used)
-        return True
+    The passes run on the compiled integer rows (see :func:`_compile`). A row
+    is skipped when its last check changed nothing and none of its atoms has
+    moved since, which would repeat that check exactly. Raises ``ValueError``
+    for a coefficient other than +1 or -1, and
+    :class:`PropagationDidNotConverge`, with the bounds reached so far written
+    back, when the last of ``max_passes`` passes still tightened a bound.
+    """
+    rows, scale, hi, neg_lo = _compile(state)
+    rows_of: list[list[int]] = [[] for _ in hi]
+    for cidx, (terms, _, _) in enumerate(rows):
+        for a, *_ in terms:
+            rows_of[a].append(cidx)
+    stale = [True] * len(rows)
+    trace = state._trace
+    moved: set[tuple[int, str]] = set()
+
+    def tighten(bounds: list, a: int, value: int, side: str, cidx: int, which: str):
+        bounds[a] = value
+        trace[a, side] = (value if side == "hi" else -value, scale, cidx, which)
+        moved.add((a, side))
+        for r in rows_of[a]:
+            stale[r] = True
+
+    def write_back() -> None:
+        boxes = tuple(state.intervals.values())
+        for a, side in moved:
+            if side == "hi":
+                boxes[a].hi = Fraction(hi[a], scale)
+            else:
+                boxes[a].lo = Fraction(-neg_lo[a], scale)
+
+    def contradiction(cidx: int, side: str, lhs: int, which: str) -> DeductionState:
+        write_back()
+        state.status = "contradiction"
+        state.certificate = _build_certificate(
+            state, rows, cidx, side, Fraction(lhs, scale), which
+        )
+        state.propagated = True
+        return state
 
     for _ in range(max_passes):
         changed = False
-        for cidx, c in enumerate(state.constraints):
-            lows, highs = _term_bounds(c.terms, intervals)
-            lo_sum, lo_missing = _finite_sum(lows)
-            hi_sum, hi_missing = _finite_sum(highs)
-            if lo_missing == 0 and lo_sum > c.rhs:
-                state.status = "contradiction"
-                state.certificate = _build_certificate(
-                    state, cidx, "min_exceeds_rhs", lo_sum, _used_bounds(c.terms, "min")
-                )
-                state.propagated = True
-                return state
-            if c.relation == "eq" and hi_missing == 0 and hi_sum < c.rhs:
-                state.status = "contradiction"
-                state.certificate = _build_certificate(
-                    state, cidx, "max_below_rhs", hi_sum, _used_bounds(c.terms, "max")
-                )
-                state.propagated = True
-                return state
-            for pos, (ref, coeff) in enumerate(c.terms):
-                others_lo_missing = lo_missing - (1 if lows[pos] is None else 0)
-                if others_lo_missing == 0:
-                    others_lo = lo_sum - (lows[pos] or 0)
-                    bound = (c.rhs - others_lo) / coeff
-                    used = tuple(
-                        u
-                        for t, u in zip(c.terms, _used_bounds(c.terms, "min"))
-                        if t[0] != ref
-                    )
-                    if apply_bound(
-                        ref, "hi" if coeff > 0 else "lo", bound, cidx, used
-                    ):
+        for cidx, (terms, rhs, eq) in enumerate(rows):
+            if not stale[cidx]:
+                continue
+            stale[cidx] = False
+            lo_sum, lo_missing, hi_sum, hi_missing = _row_bounds(terms)
+            if lo_missing == 0 and lo_sum > rhs:
+                return contradiction(cidx, "min_exceeds_rhs", lo_sum, "min")
+            if eq and hi_missing == 0 and hi_sum < rhs:
+                return contradiction(cidx, "max_below_rhs", hi_sum, "max")
+            for a, most, neg_least, most_side, least_side in terms:
+                # With every other term bounded below, rhs minus their least
+                # sum bounds this term from above (`==` on a bool: this term
+                # is the one unbounded term, or there is none).
+                least = neg_least[a]
+                if lo_missing == (least is None):
+                    bound = rhs - lo_sum - (least or 0)
+                    if most[a] is None or bound < most[a]:
+                        tighten(most, a, bound, most_side, cidx, "min")
                         changed = True
-                        lows, highs = _term_bounds(c.terms, intervals)
-                        lo_sum, lo_missing = _finite_sum(lows)
-                        hi_sum, hi_missing = _finite_sum(highs)
-                if c.relation == "eq":
-                    others_hi_missing = hi_missing - (1 if highs[pos] is None else 0)
-                    if others_hi_missing == 0:
-                        others_hi = hi_sum - (highs[pos] or 0)
-                        bound = (c.rhs - others_hi) / coeff
-                        used = tuple(
-                            u
-                            for t, u in zip(c.terms, _used_bounds(c.terms, "max"))
-                            if t[0] != ref
-                        )
-                        if apply_bound(
-                            ref, "lo" if coeff > 0 else "hi", bound, cidx, used
-                        ):
+                        lo_sum, lo_missing, hi_sum, hi_missing = _row_bounds(terms)
+                if eq:
+                    # ... and on an equality, their greatest sum bounds it
+                    # from below.
+                    greatest = most[a]
+                    if hi_missing == (greatest is None):
+                        bound = hi_sum - (greatest or 0) - rhs
+                        if neg_least[a] is None or bound < neg_least[a]:
+                            tighten(neg_least, a, bound, least_side, cidx, "max")
                             changed = True
-                            lows, highs = _term_bounds(c.terms, intervals)
-                            lo_sum, lo_missing = _finite_sum(lows)
-                            hi_sum, hi_missing = _finite_sum(highs)
+                            lo_sum, lo_missing, hi_sum, hi_missing = _row_bounds(terms)
         if not changed:
             break
     else:
-        raise RuntimeError(f"propagation did not converge in {max_passes} passes")
+        write_back()
+        raise PropagationDidNotConverge(
+            f"propagation did not converge in {max_passes} passes"
+        )
 
+    write_back()
     state.propagated = True
     state.status = (
-        "solved" if all(iv.forced() for iv in intervals.values()) else "open"
+        "solved"
+        if all(h is not None and n is not None and h == -n for h, n in zip(hi, neg_lo))
+        else "open"
     )
     return state
 
 
 def _build_certificate(
     state: DeductionState,
+    rows: list[_Row],
     violated_index: int,
     side: str,
     lhs_bound: Fraction,
-    seed_bounds: tuple[tuple[AtomRef, str], ...],
+    which: str,
 ) -> Certificate:
-    """Justification closure of the bounds that make the constraint infeasible."""
-    trace = state._trace
+    """Justification closure of the bounds that make the constraint infeasible.
+
+    ``state._trace`` keeps, per atom side, the last bound that improved it;
+    the events are built here, from those records and the rows, only for
+    the bounds the closure reaches.
+    """
+    refs = tuple(state.intervals)
     constraint_indices = {violated_index}
     events: list[BoundEvent] = []
-    seen: set[tuple[AtomRef, str]] = set()
-    queue = list(seed_bounds)
+    seen: set[tuple[int, str]] = set()
+    queue = list(_used(rows[violated_index][0], which))
     while queue:
         key = queue.pop(0)
         if key in seen:
             continue
         seen.add(key)
-        event = trace.get(key)
-        if event is None:
+        record = state._trace.get(key)
+        if record is None:
             continue
-        events.append(event)
-        constraint_indices.add(event.constraint_index)
-        queue.extend(event.used)
+        value, scale, cidx, producer_which = record
+        used = _used(rows[cidx][0], producer_which, skip=key[0])
+        events.append(
+            BoundEvent(
+                refs[key[0]],
+                key[1],
+                Fraction(value, scale),
+                cidx,
+                tuple((refs[a], s) for a, s in used),
+            )
+        )
+        constraint_indices.add(cidx)
+        queue.extend(used)
     return Certificate(
         violated_index=violated_index,
         side=side,

@@ -117,6 +117,10 @@ class StateStillOpen(EngineError):
     """A report was requested from a state that has not been propagated."""
 
 
+class PropagationDidNotConverge(EngineError, RuntimeError):
+    """Interval propagation still tightened bounds after its last pass."""
+
+
 # --- verification suite -----------------------------------------------------
 
 

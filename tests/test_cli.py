@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, files and exit codes."""
 
+import functools
 import json
 
 import pytest
@@ -144,6 +145,18 @@ class TestPidDeduce:
         )
         assert code == 0
         assert doc["values"]["status"] == "open"
+
+    def test_non_convergence_is_an_input_error(self, capsys, monkeypatch):
+        from infodecomp import cli, engine
+
+        monkeypatch.setattr(
+            cli, "propagate", functools.partial(engine.propagate, max_passes=1)
+        )
+        code, out, err = run(capsys, "pid-deduce", "--builtin", "system1")
+        assert code == cli._EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "propagation did not converge in 1 passes" in err
 
 
 class TestTheoremScan:

@@ -159,3 +159,37 @@ class TestCheckTable:
         results = run_all_checks()
         assert len(results) == 5
         assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+    def test_both_systems_are_deduced_once(self, monkeypatch):
+        from infodecomp import systems
+
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return verify_matching_tables()
+
+        monkeypatch.setattr(systems, "verify_matching_tables", counted)
+        results = run_all_checks()
+        assert len(calls) == 1
+        assert [r.name for r in results] == [
+            "xor-triple-contradiction",
+            "matching-atom-tables",
+            "no-universal-subset",
+            "synergy-sum-exceeds-entropy",
+            "entropy-sum-rules",
+        ]
+
+    def test_a_failed_deduction_fails_both_rows_alike(self, monkeypatch):
+        from infodecomp import systems
+        from infodecomp.errors import ReproductionFailed
+
+        def failing():
+            raise ReproductionFailed("tables differ at {{1}}: 1 vs 0")
+
+        monkeypatch.setattr(systems, "verify_matching_tables", failing)
+        rows = {r.name: r for r in run_all_checks()}
+        for name in ("matching-atom-tables", "no-universal-subset"):
+            assert not rows[name].passed
+            assert rows[name].detail == "tables differ at {{1}}: 1 vs 0"
+        assert rows["xor-triple-contradiction"].passed
