@@ -61,7 +61,7 @@ from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
-from .errors import ArityUnsupported, PropagationDidNotConverge, StateStillOpen
+from .errors import PropagationDidNotConverge, StateStillOpen, UnsupportedArity
 from .lattice import Antichain, enumerate_full, leq
 
 Scope = tuple[int, ...]
@@ -140,9 +140,6 @@ class DeductionState:
     # (atom position, side) -> (value * scale, scale, row, "min" or "max") of
     # the last bound that improved that side; certificates are built from it.
     _trace: dict = field(default_factory=dict, repr=False)
-
-    def refs(self) -> tuple[AtomRef, ...]:
-        return tuple(self.intervals)
 
     def interval(self, scope: Iterable[int], antichain: Antichain) -> Interval:
         return self.intervals[AtomRef(tuple(sorted(scope)), antichain)]
@@ -396,7 +393,7 @@ def build_constraints(
     row a contradiction trips at, and with it the certificate.
     """
     if len(sources) != 3:
-        raise ArityUnsupported("the deduction engine supports exactly 3 sources")
+        raise UnsupportedArity("the deduction engine supports exactly 3 sources")
     if mutual_sums not in ("all", "singletons"):
         raise ValueError(f"bad mutual_sums mode {mutual_sums!r}")
     groups = [d.resolve(s) for s in sources]

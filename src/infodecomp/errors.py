@@ -66,10 +66,6 @@ class TooManySources(LatticeError):
     """Full-lattice enumeration requested for more than four sources."""
 
 
-class UnsupportedArity(LatticeError):
-    """Half-lattice enumeration requested for a source count other than three."""
-
-
 class NotANode(LatticeError):
     """An antichain passed to a lattice query is not one of its nodes."""
 
@@ -109,8 +105,9 @@ class EngineError(InfodecompError):
     """Invalid deduction-engine usage."""
 
 
-class ArityUnsupported(EngineError):
-    """The deduction engine only supports exactly three source groups."""
+class UnsupportedArity(LatticeError, EngineError):
+    """A source count other than three, where exactly three are required:
+    by half-lattice enumeration and by the deduction engine."""
 
 
 class StateStillOpen(EngineError):

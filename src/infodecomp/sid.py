@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
 from .errors import AxiomViolated, NegativeRedundancy, RankDeficient, ResidualTooLarge
-from .lattice import Antichain, enumerate_half
+from .lattice import Antichain
 from .redundancy import common_partition
 
 Number = Fraction | float
@@ -61,6 +61,14 @@ SUM_RULE_MATRIX: tuple[tuple[int, ...], ...] = (
 )
 
 _SYNERGY_ATOMS = ATOM_ORDER[4:7]
+
+#: Sum-rule labels in SUM_RULE_MATRIX row order; rows 7-9 leave out the
+#: synergy atoms last to first.
+_RULE_LABELS: tuple[str, ...] = (
+    *(f"H(S{k}) down-set sum" for k in (1, 2, 3)),
+    *(f"H(S{i},S{k}) dominated-atom sum" for i, k in ((1, 2), (1, 3), (2, 3))),
+    *(f"H(S1,S2,S3) = sigma - psi({atom})" for atom in reversed(_SYNERGY_ATOMS)),
+)
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,20 @@ def si_atoms(
     return SIAtomTable(tuple(zip(ATOM_ORDER, values)), r)
 
 
+def _measure_and_solve(
+    d: JointDistribution,
+    groups: tuple[GroupLike, GroupLike, GroupLike],
+    red: Number | None,
+    tol: float,
+) -> tuple[EntropyVector, SIAtomTable]:
+    """The entropy vector, measured once, and the table :func:`decompose` solves."""
+    ev = EntropyVector.from_distribution(d, *groups)
+    if red is None:
+        part = common_partition(d, list(groups))
+        red = part.value_exact if part.value_exact is not None else part.value
+    return ev, si_atoms(ev, red, tol)
+
+
 def decompose(
     d: JointDistribution,
     s1: GroupLike,
@@ -189,11 +211,7 @@ def decompose(
 ) -> SIAtomTable:
     """Measure entropies, default the redundancy to the common-partition value,
     and solve the atom table."""
-    ev = EntropyVector.from_distribution(d, s1, s2, s3)
-    if red is None:
-        part = common_partition(d, [s1, s2, s3])
-        red = part.value_exact if part.value_exact is not None else part.value
-    return si_atoms(ev, red, tol)
+    return _measure_and_solve(d, (s1, s2, s3), red, tol)[1]
 
 
 def exact_rank(matrix: Sequence[Sequence[Number]]) -> int:
@@ -225,6 +243,14 @@ def _sum_rule_rank() -> int:
     return exact_rank(SUM_RULE_MATRIX)
 
 
+def _rule_sums(table: SIAtomTable) -> tuple[Fraction, ...]:
+    """The nine sum-rule left-hand sides: SUM_RULE_MATRIX times the atom vector."""
+    x = table.vector()
+    return tuple(
+        sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in SUM_RULE_MATRIX
+    )
+
+
 @dataclass(frozen=True)
 class LinearSystemReport:
     residuals: tuple[Fraction, ...]
@@ -240,12 +266,7 @@ def verify_linear_system(
     rank = _sum_rule_rank()
     if rank != 9:
         raise RankDeficient(f"sum-rule matrix rank {rank}, expected 9")
-    x = table.vector()
-    rhs = ev.rhs()
-    residuals = tuple(
-        sum((c * v for c, v in zip(row, x)), Fraction(0)) - y
-        for row, y in zip(SUM_RULE_MATRIX, rhs)
-    )
+    residuals = tuple(lhs - y for lhs, y in zip(_rule_sums(table), ev.rhs()))
     worst = max(abs(float(r)) for r in residuals)
     if worst > tol:
         raise ResidualTooLarge(f"max sum-rule residual {worst} exceeds {tol}")
@@ -283,58 +304,23 @@ def check_sum_rules(
     red: Number | None = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> SumRuleReport:
-    """Verify every entropy decomposition rule of the half lattice.
+    """Verify the nine entropy sum rules, the rows of SUM_RULE_MATRIX.
 
-    Per-variable: H(Sk) equals the sum over the down-set of {{k}}.
-    Per-pair: H(Si,Sk) equals the sum of atoms dominated by {{i}} or {{k}}.
-    Total: H(S1,S2,S3) equals the sum of all ten atoms minus each
+    Per-variable (rows 1-3): H(Sk) equals the sum over the down-set of {{k}}.
+    Per-pair (rows 4-6): H(Si,Sk) equals the sum of atoms dominated by {{i}}
+    or {{k}}.
+    Total (rows 7-9): H(S1,S2,S3) equals the sum of all ten atoms minus each
     two-versus-one synergy atom in turn, for all three exclusion choices.
     Raises :class:`AxiomViolated` naming the first rule whose residual
     exceeds the tolerance.
     """
-    ev = EntropyVector.from_distribution(d, s1, s2, s3)
-    table = (
-        si_atoms(ev, red, tol)
-        if red is not None
-        else decompose(d, s1, s2, s3, tol=tol)
+    ev, table = _measure_and_solve(d, (s1, s2, s3), red, tol)
+    checks = tuple(
+        SumRuleCheck(label, lhs, rhs)
+        for label, lhs, rhs in zip(_RULE_LABELS, _rule_sums(table), ev.rhs())
     )
-    half = enumerate_half(3)
-    atom_map = table.as_dict()
-    singles = [Antichain.of([(k,)]) for k in (1, 2, 3)]
-    h = [_exact(v) for v in (ev.h1, ev.h2, ev.h3)]
-    per_variable = tuple(
-        SumRuleCheck(
-            f"H(S{k + 1}) down-set sum",
-            sum((atom_map[b] for b in half.downset(singles[k])), Fraction(0)),
-            h[k],
-        )
-        for k in range(3)
-    )
-    pair_h = {
-        (1, 2): _exact(ev.h12),
-        (1, 3): _exact(ev.h13),
-        (2, 3): _exact(ev.h23),
-    }
-    per_pair = []
-    for i, k in ((1, 2), (1, 3), (2, 3)):
-        union = set(half.downset(singles[i - 1])) | set(half.downset(singles[k - 1]))
-        per_pair.append(
-            SumRuleCheck(
-                f"H(S{i},S{k}) dominated-atom sum",
-                sum((atom_map[b] for b in union), Fraction(0)),
-                pair_h[(i, k)],
-            )
-        )
-    sigma = table.total()
-    total = tuple(
-        SumRuleCheck(
-            f"H(S1,S2,S3) = sigma - psi({atom})",
-            sigma - atom_map[atom],
-            _exact(ev.h123),
-        )
-        for atom in _SYNERGY_ATOMS
-    )
-    report = SumRuleReport(table, per_variable, tuple(per_pair), total, sigma)
+    # The report lists the total rules in synergy-atom order: rows 9, 8, 7.
+    report = SumRuleReport(table, checks[:3], checks[3:6], checks[:5:-1], table.total())
     for check in report.all_checks():
         if abs(float(check.residual)) > tol:
             raise AxiomViolated(check.label, float(check.residual))
@@ -361,38 +347,17 @@ def synergy_sum_check(
     A sum strictly above the joint entropy is the whole-versus-parts
     violation: the decomposed parts carry more than the whole.
     """
-    table = decompose(d, s1, s2, s3, red=red, tol=tol)
+    ev, table = _measure_and_solve(d, (s1, s2, s3), red, tol)
     total = sum((v for _, v in table.synergy_atoms()), Fraction(0))
-    ev = EntropyVector.from_distribution(d, s1, s2, s3)
     h = _exact(ev.h123)
     return SynergySumResult(total, h, float(total) > float(h) + tol)
-
-
-@dataclass(frozen=True)
-class PairDecomposition:
-    """Two-variable decomposition: shared, and per-variable exclusive parts."""
-
-    shared: Number  # I(Si;Sk)
-    only_first: Number  # H(Si|Sk)
-    only_second: Number  # H(Sk|Si)
-
-
-def pair_decomposition(
-    d: JointDistribution, a: GroupLike, b: GroupLike
-) -> PairDecomposition:
-    ia, ib = d.resolve(a), d.resolve(b)
-    return PairDecomposition(
-        shared=d.mutual_information(ia, ib),
-        only_first=d.conditional_entropy(ia, ib),
-        only_second=d.conditional_entropy(ib, ia),
-    )
 
 
 @dataclass(frozen=True)
 class SubsystemComparison:
     pair: tuple[int, int]
     from_full_table: Fraction  # psi({i}{j}{k}) + psi({i}{k})
-    from_marginal: float  # shared part of the recomputed pair table
+    from_marginal: float  # I(Si;Sk), measured on the pair's marginal
 
     @property
     def residual(self) -> float:
@@ -407,12 +372,12 @@ def subsystem_comparisons(
     red: Number | None = None,
 ) -> tuple[SubsystemComparison, ...]:
     """Compare pair information reconstructed from the full table against
-    pair tables recomputed from marginals; reports both sides."""
+    the pair mutual information measured on marginals; reports both sides."""
     table = decompose(d, s1, s2, s3, red=red)
     groups = (s1, s2, s3)
     out = []
     for i, k in ((1, 2), (1, 3), (2, 3)):
         reconstructed = table.red + table.value(Antichain.of([(i,), (k,)]))
-        pair = pair_decomposition(d, groups[i - 1], groups[k - 1])
-        out.append(SubsystemComparison((i, k), reconstructed, pair.shared))
+        shared = d.mutual_information(groups[i - 1], groups[k - 1])
+        out.append(SubsystemComparison((i, k), reconstructed, shared))
     return tuple(out)

@@ -100,9 +100,6 @@ class AtomAssignment:
     def as_dict(self) -> dict[Antichain, Fraction]:
         return dict(self.values)
 
-    def value(self, antichain: Antichain) -> Fraction:
-        return self.as_dict()[antichain]
-
 
 def _full_lattice_order() -> tuple[Antichain, ...]:
     return enumerate_full(3).nodes
@@ -455,10 +452,7 @@ def run_all_checks() -> list[CheckResult]:
 
     def scan():
         result = _scan_matched_tables(matched_tables())
-        return (
-            f"0 of {result.subsets_checked} subsets work "
-            f"({result.elapsed_seconds:.2f}s)"
-        )
+        return f"0 of {result.subsets_checked} subsets work"
 
     def synergy():
         result = verify_synergy_excess()

@@ -33,6 +33,12 @@ class TestVerifyPaper:
         assert len(doc["checks"]) == 5
         assert all(c["passed"] for c in doc["checks"])
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_two_runs_print_identical_bytes(self, capsys, fmt):
+        first = run(capsys, "--format", fmt, "verify-paper")
+        second = run(capsys, "--format", fmt, "verify-paper")
+        assert first == second
+
 
 class TestEntropy:
     def test_builtin_text(self, capsys):
@@ -242,6 +248,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["mutual-info", "--builtin", "system2", "--a", "S1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tolerance={tolerance}", "decompose-sid", "--builtin", "system2"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_valid(self, capsys):
+        code, out, _ = run(capsys, "--tolerance", "0", "decompose-sid", "--builtin", "system2")
+        assert code == 0
+        assert "sum rules: 9/9 hold" in out
 
     def test_unknown_group_is_input_error(self, capsys):
         code, _, err = run(

@@ -13,7 +13,7 @@ from infodecomp import (
     wesp_report,
 )
 from infodecomp.engine import assignment_violations
-from infodecomp.errors import ArityUnsupported, StateStillOpen
+from infodecomp.errors import EngineError, LatticeError, StateStillOpen, UnsupportedArity
 from infodecomp.lattice import Antichain, parse_antichain
 
 BIT = [0, 1]
@@ -76,10 +76,15 @@ class TestBuildConstraints:
                 assert len(c.terms) in (2, 5)  # down-sets of singletons only
 
     def test_rejects_wrong_arity_and_bad_mode(self, system2):
-        with pytest.raises(ArityUnsupported):
+        with pytest.raises(UnsupportedArity):
             build_constraints(system2.dist, (("S1",), ("S2",)), ("T",))
         with pytest.raises(ValueError):
             build_constraints(system2.dist, S123, ("T",), mutual_sums="some")
+
+    def test_wrong_arity_is_caught_as_engine_and_lattice_error(self, system2):
+        for base in (EngineError, LatticeError):
+            with pytest.raises(base, match="exactly 3 sources"):
+                build_constraints(system2.dist, (("S1",), ("S2",)), ("T",))
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 """Closed-form atom tables, the 9x10 rule system, and the entropy sum rules."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from infodecomp import (
+    ATOM_ORDER,
     SUM_RULE_MATRIX,
     EntropyVector,
     JointDistribution,
@@ -16,8 +18,8 @@ from infodecomp import (
     verify_linear_system,
 )
 from infodecomp.dist import DEFAULT_TOLERANCE as TOL
-from infodecomp.errors import NegativeRedundancy, ResidualTooLarge
-from infodecomp.lattice import parse_antichain
+from infodecomp.errors import AxiomViolated, NegativeRedundancy, ResidualTooLarge
+from infodecomp.lattice import Antichain, enumerate_half, parse_antichain
 from infodecomp.sid import SIAtomTable, exact_rank, subsystem_comparisons
 
 from conftest import SOURCES_ABC
@@ -153,6 +155,70 @@ class TestSumRules:
         assert report.sigma == 2
         for check in report.total:
             assert check.lhs == check.rhs == 2
+
+    def test_matrix_rows_are_the_half_lattice_downset_sums(self, system2, monkeypatch):
+        half = enumerate_half(3)
+        down = {k: set(half.downset(Antichain.of([(k,)]))) for k in (1, 2, 3)}
+        rules = [(f"H(S{k}) down-set sum", down[k]) for k in (1, 2, 3)]
+        rules += [
+            (f"H(S{i},S{k}) dominated-atom sum", down[i] | down[k])
+            for i, k in ((1, 2), (1, 3), (2, 3))
+        ]
+        rules += [
+            (f"H(S1,S2,S3) = sigma - psi({name})", set(half.nodes) - {parse_antichain(name)})
+            for name in ("{{3}{12}}", "{{2}{13}}", "{{1}{23}}")
+        ]
+        indicators = tuple(
+            tuple(int(atom in atoms) for atom in ATOM_ORDER) for _, atoms in rules
+        )
+        assert indicators == SUM_RULE_MATRIX
+        # With atom j worth 2**j, each left-hand side spells out the atoms it
+        # sums, so every label must sit on the rule it names.
+        weights = {atom: Fraction(2**j) for j, atom in enumerate(ATOM_ORDER)}
+        monkeypatch.setattr(
+            "infodecomp.sid.si_atoms",
+            lambda ev, red, tol: SIAtomTable(tuple(weights.items()), Fraction(red)),
+        )
+        report = check_sum_rules(system2.dist, *system2.sources, tol=math.inf)
+        lhs = {c.label: c.lhs for c in report.all_checks()}
+        assert lhs == {label: sum(weights[a] for a in atoms) for label, atoms in rules}
+
+    @pytest.mark.parametrize("red", [None, Fraction(1, 3)])
+    def test_residuals_equal_linear_system_residuals_on_corpus(self, corpus, red):
+        for d in corpus[:120]:
+            ev = EntropyVector.from_distribution(d, *SOURCES_ABC)
+            report = check_sum_rules(d, *SOURCES_ABC, red=red)
+            linear = verify_linear_system(ev, report.table)
+            assert tuple(c.residual for c in report.all_checks()) == linear.residuals
+            assert tuple(c.rhs for c in report.all_checks()) == ev.rhs()
+
+    @pytest.mark.parametrize(
+        ("shifts", "label", "residual"),
+        [
+            ({"{{3}}": Fraction(1, 2)}, "H(S3) down-set sum", 0.5),
+            ({"{{2}{3}}": Fraction(1, 4)}, "H(S2) down-set sum", 0.25),
+            # +d on one synergy atom and -d on {1} cancel in rows 1-6 and in
+            # every total rule except the one that leaves that synergy atom out.
+            (
+                {"{{1}{23}}": Fraction(1, 8), "{{1}}": Fraction(-1, 8)},
+                "H(S1,S2,S3) = sigma - psi({{1}{23}})",
+                -0.125,
+            ),
+        ],
+    )
+    def test_perturbed_table_violates_first_failing_rule(
+        self, system2, monkeypatch, shifts, label, residual
+    ):
+        def perturbed(ev, red, tol=TOL):
+            table = si_atoms(ev, red, tol)
+            atoms = tuple((a, v + shifts.get(str(a), 0)) for a, v in table.atoms)
+            return SIAtomTable(atoms, table.red)
+
+        monkeypatch.setattr("infodecomp.sid.si_atoms", perturbed)
+        with pytest.raises(AxiomViolated) as exc:
+            check_sum_rules(system2.dist, *system2.sources)
+        assert exc.value.equation == label
+        assert exc.value.residual == residual
 
     def test_total_rule_holds_for_all_exclusions_on_corpus(self, corpus):
         for d in corpus[:120]:
