@@ -6,12 +6,15 @@ One executable, eight subcommands: ``entropy``, ``mutual-info``, ``lattice``,
 ``system2``) or a JSON file holding a distribution (``variables``,
 ``alphabets``, ``pmf``) or a circuit (``free_bits``, ``xor_defs``,
 ``groupings``, ``target``). Output is plain text or a machine-readable JSON
-document (``--format json``) with the same numeric content.
+document (``--format json``) with the same numeric content. Only
+``decompose-sid`` and ``pid-deduce`` read a tolerance, so only they take
+``--tolerance``.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (including a
-``--tolerance`` that is negative or not finite), 3 input error. Nothing here
-is randomized; identical inputs produce identical bytes, except for the wall
-time of the scan that ``theorem1-scan`` reports.
+``--tolerance`` that is negative or not finite, or given to another
+command), 3 input error. Nothing here is randomized; identical inputs
+produce identical bytes, except for the wall time of the scan that
+``theorem1-scan`` reports.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .engine import build_constraints, propagate, wesp_report
 from .errors import InfodecompError
 from .lattice import enumerate_full, enumerate_half, format_antichain
 from .redundancy import common_partition
-from .sid import EntropyVector, check_sum_rules, verify_linear_system
+from .sid import _sum_rule_rank, check_sum_rules
 from .systems import (
     get_builtin,
     golden_assignment,
@@ -226,13 +229,13 @@ def _cmd_decompose_sid(args) -> int:
     tol = args.tolerance
     report = check_sum_rules(inputs.dist, *sources, red=red, tol=tol)
     table = report.table
-    ev = EntropyVector.from_distribution(inputs.dist, *sources)
-    linear = verify_linear_system(ev, table, tol=tol)
     checks = [
         {"name": c.label, "passed": abs(float(c.residual)) <= tol,
          "residual": float(c.residual)}
         for c in report.all_checks()
     ]
+    max_residual = max(abs(c["residual"]) for c in checks)
+    rank = _sum_rule_rank()
     doc = {
         "command": "decompose-sid",
         "inputs": {"system": inputs.label, "sources": args.sources or "declared"},
@@ -242,8 +245,8 @@ def _cmd_decompose_sid(args) -> int:
             },
             "atom_total": _number(report.sigma),
             "redundancy": _number(table.red),
-            "matrix_rank": linear.rank,
-            "max_rule_residual": linear.max_residual,
+            "matrix_rank": rank,
+            "max_rule_residual": max_residual,
         },
         "checks": checks,
     }
@@ -253,7 +256,7 @@ def _cmd_decompose_sid(args) -> int:
     lines.append(f"atom total = {_fmt(report.sigma)}")
     lines.append(
         f"sum rules: {sum(c['passed'] for c in checks)}/{len(checks)} hold "
-        f"(max residual {linear.max_residual:.3g}, matrix rank {linear.rank})"
+        f"(max residual {max_residual:.3g}, matrix rank {rank})"
     )
     _emit(args, doc, lines)
     return _EXIT_OK
@@ -399,6 +402,13 @@ def _cmd_verify_paper(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+def _add_tolerance_option(sub):
+    sub.add_argument(
+        "--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
+        help="floating comparison tolerance in bits (finite, >= 0)",
+    )
+
+
 def _add_input_options(sub, with_sources=False, with_target=False):
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--builtin", choices=["system1", "system2"],
@@ -422,10 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="output format (default text)",
-    )
-    parser.add_argument(
-        "--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
-        help="floating comparison tolerance in bits (finite, >= 0)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -456,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_options(sub, with_sources=True)
     sub.add_argument("--red", help="override the redundancy value (rational, e.g. 1/2)")
+    _add_tolerance_option(sub)
     sub.set_defaults(handler=_cmd_decompose_sid)
 
     sub = commands.add_parser(
@@ -470,6 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--certificate", action="store_true",
         help="print the contradiction certificate, if any",
     )
+    _add_tolerance_option(sub)
     sub.set_defaults(handler=_cmd_pid_deduce)
 
     sub = commands.add_parser(

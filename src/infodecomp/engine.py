@@ -22,8 +22,8 @@ Constraint kinds:
   anchored; consistency across scopes then comes from ``CrossScale`` alone,
   which is the hypothesis set under which the two reference systems receive
   identical atom tables.
-* ``CrossScale`` — the refinement identities tying an atom of a smaller
-  scope to the atoms it splits into one scope up.
+* ``CrossScale`` — refinement: an atom alpha of a scope A is the sum of the
+  atoms of A plus one source whose elements inside A form alpha.
 * ``IndependentIdentityZero`` — exactly-independent source pair whose join
   is informationally equivalent to the target has zero pair redundancy.
   Fires only on the exact two-sided support condition; firings are recorded.
@@ -43,8 +43,8 @@ exactly-embedded floats (snapped to integers within tolerance) otherwise.
 ``propagate`` compiles the rows once per call: atoms become their positions,
 and every right-hand side and bound becomes an integer over one common
 denominator, so the fixed point runs on ints; results come back as
-Fractions. The part of the system that no measurement changes (atoms, fixed
-rows, down-set terms) is enumerated once per process, on first use.
+Fractions. The rows come from one ordered table of templates, built once per
+process; a measurement fills in right-hand sides and drops unfired rows.
 
 A ``DeductionState`` is single-owner mutable while propagating; once
 propagation finishes it should be treated as read-only. Independent systems
@@ -56,9 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
 from .errors import PropagationDidNotConverge, StateStillOpen, UnsupportedArity
@@ -196,181 +196,146 @@ def _scope_str(s: Scope) -> str:
     return "{" + ",".join(str(i) for i in s) + "}"
 
 
-_Terms = tuple[tuple[AtomRef, Fraction], ...]
-
-
-class _Skeleton(NamedTuple):
-    """What the three-source constraint system holds before anything is
-    measured: the 33 atoms, every row whose right-hand side is fixed, and the
-    terms and provenance of the rows whose right-hand side is a measured
-    information, ``(subset, terms, provenance)`` with rhs I(subset;T).
-
-    Each group is in the order ``build_constraints`` emits it; the MutualSum
-    rows are sorted so that within a scope size the widest down-set comes
-    first, and an infeasible total trips at the full down-set.
-    """
-
-    scopes: tuple[Scope, ...]
-    refs: tuple[AtomRef, ...]
-    nonnegativity: tuple[Constraint, ...]
-    self_redundancy: tuple[tuple[Scope, _Terms, str], ...]
-    independent_identity: dict[tuple[int, int], Constraint]
-    determinism: dict[int, tuple[Constraint, ...]]
-    cross_scale: tuple[Constraint, ...]
-    mutual_sums: tuple[tuple[Scope, _Terms, str], ...]
-    monotonicity: tuple[Constraint, ...]
+_FULL_SCOPE: Scope = (1, 2, 3)
+_SCOPES: tuple[Scope, ...] = tuple(
+    s for size in (1, 2, 3) for s in combinations(_FULL_SCOPE, size)
+)
+_Template = tuple[Constraint, Scope | None, tuple | None]
 
 
 @cache
-def _skeleton() -> _Skeleton:
-    """Enumerate the lattice skeleton once, on first use."""
+def _skeleton() -> tuple[tuple[AtomRef, ...], tuple[_Template, ...]]:
+    """The three-source system before anything is measured, enumerated once,
+    on first use: the 33 atoms, and one template per row that
+    ``build_constraints`` can emit, in the order it emits them.
+
+    A template is ``(row, subset, firing)``: the row with rhs 0; the subset
+    whose measured I(subset;T) becomes its rhs, or None; and the structural
+    firing the row needs, or None. Within a scope size the MutualSum rows
+    come widest down-set first (the down-set grows with the subset), so an
+    infeasible total trips at the full down-set.
+    """
     one, minus = Fraction(1), Fraction(-1)
-    full_scope: Scope = (1, 2, 3)
-    scopes: tuple[Scope, ...] = tuple(
-        s for size in (1, 2, 3) for s in combinations(full_scope, size)
-    )
-    nodes = {s: _relabel_nodes(len(s), s) for s in scopes}
-    refs = tuple(AtomRef(s, node) for s in scopes for node in nodes[s])
+    full = _FULL_SCOPE
+    nodes = {s: _relabel_nodes(len(s), s) for s in _SCOPES}
+    refs = tuple(AtomRef(s, node) for s in _SCOPES for node in nodes[s])
     # Every row refers to the very objects in ``refs``, which lets
     # ``_compile`` resolve atoms by identity.
     canonical = {ref: ref for ref in refs}
+    templates: list[_Template] = []
 
     def atom(scope: Scope, *elements) -> AtomRef:
         return canonical[AtomRef(scope, Antichain.of(elements))]
 
-    def row(kind: str, terms, relation: str, provenance: str) -> Constraint:
-        return Constraint(kind, tuple(terms), relation, Fraction(0), provenance)
+    def add(kind, terms, relation, provenance, subset=None, firing=None) -> None:
+        row = Constraint(kind, tuple(terms), relation, Fraction(0), provenance)
+        templates.append((row, subset, firing))
 
-    nonnegativity = tuple(
-        row("Nonnegativity", ((ref, minus),), "le", f"nonnegativity of {ref}")
-        for ref in refs
-    )
-    self_redundancy = tuple(
-        (
-            (i,),
-            ((atom((i,), (i,)), one),),
-            f"self-redundancy: information of source {i} about the target",
+    def refinement(scope: Scope, alpha: Antichain, wider: Scope):
+        """+alpha of ``scope``, then -beta for every atom beta of ``wider``
+        whose elements inside ``scope`` form alpha, bottom-up."""
+        betas = tuple(
+            node for node in nodes[wider]
+            if tuple(e for e in node.elements if set(e) <= set(scope)) == alpha.elements
         )
-        for i in full_scope
-    )
-    independent_identity = {
-        (i, j): row(
+        # The betas form a chain: the fewer of them lie below one, the lower it is.
+        chain = sorted(betas, key=lambda beta: sum(leq(other, beta) for other in betas))
+        return (
+            (canonical[AtomRef(scope, alpha)], one),
+            *((canonical[AtomRef(wider, beta)], minus) for beta in chain),
+        )
+
+    for ref in refs:
+        add("Nonnegativity", ((ref, minus),), "le", f"nonnegativity of {ref}")
+    for i in full:
+        add("SelfRedundancy", ((atom((i,), (i,)), one),), "eq",
+            f"self-redundancy: information of source {i} about the target", subset=(i,))
+    for i, j in combinations(full, 2):
+        add(
             "IndependentIdentityZero",
             ((atom((i, j), (i,), (j,)), one),),
             "le",
             f"independent-identity: sources {i},{j} independent and target "
             f"equivalent to their join, so their shared atom vanishes",
+            firing=("independent-identity", (i, j)),
         )
-        for i, j in combinations(full_scope, 2)
-    }
-    determinism = {}
-    for i in full_scope:
-        rest = tuple(x for x in full_scope if x != i)
-        determinism[i] = tuple(
-            row(
-                "DeterminismZero",
-                ((canonical[AtomRef(full_scope, node)], one),),
-                "le",
-                f"determinism: sources {rest[0]},{rest[1]} provide the whole "
-                f"system, atom {node} uses no piece of them",
-            )
-            for node in nodes[full_scope]
-            if not any(set(e) <= set(rest) for e in node.elements)
-        )
+    for i in full:
+        rest = tuple(x for x in full if x != i)
+        for node in nodes[full]:
+            if not any(set(e) <= set(rest) for e in node.elements):
+                add(
+                    "DeterminismZero",
+                    ((canonical[AtomRef(full, node)], one),),
+                    "le",
+                    f"determinism: sources {rest[0]},{rest[1]} provide the whole "
+                    f"system, atom {node} uses no piece of them",
+                    firing=("determinism", i),
+                )
 
-    # Refinement identities across scopes.
-    cross_scale = []
-    for i, j in combinations(full_scope, 2):
+    # Refinement identities across scopes: an atom of a scope against the
+    # atoms one source up that restrict to it.
+    for i, j in combinations(full, 2):
         pair: Scope = (i, j)
         for a in (i, j):
-            cross_scale.append(row(
+            add(
                 "CrossScale",
-                (
-                    (atom((a,), (a,)), one),
-                    (atom(pair, (i,), (j,)), minus),
-                    (atom(pair, (a,)), minus),
-                ),
+                refinement((a,), Antichain.of([(a,)]), pair),
                 "eq",
                 f"cross-scale: source {a}'s information splits over scope "
                 f"{_scope_str(pair)} into shared and exclusive parts",
-            ))
-        cross_scale.append(row(
+            )
+        add(
             "CrossScale",
-            (
-                (atom(pair, (i,), (j,)), one),
-                (atom(full_scope, (1,), (2,), (3,)), minus),
-                (atom(full_scope, (i,), (j,)), minus),
-            ),
+            refinement(pair, Antichain.of([(i,), (j,)]), full),
             "eq",
             f"cross-scale: the shared atom of {_scope_str(pair)} splits into the "
             "all-way shared atom and the pair-only atom of the full scope",
-        ))
-    for i in full_scope:
-        for j in full_scope:
-            if j == i:
-                continue
-            k = next(x for x in full_scope if x not in (i, j))
-            cross_scale.append(row(
-                "CrossScale",
-                (
-                    (atom(tuple(sorted((i, j))), (i,)), one),
-                    (atom(full_scope, (i,), (k,)), minus),
-                    (atom(full_scope, (i,), tuple(sorted((j, k)))), minus),
-                    (atom(full_scope, (i,)), minus),
-                ),
-                "eq",
-                f"cross-scale: source {i}'s part exclusive of {j} splits at the "
-                "full scope",
-            ))
+        )
+    for i, j in permutations(full, 2):
+        add(
+            "CrossScale",
+            refinement(tuple(sorted((i, j))), Antichain.of([(i,)]), full),
+            "eq",
+            f"cross-scale: source {i}'s part exclusive of {j} splits at the "
+            "full scope",
+        )
 
-    mutual_sums = []
-    for scope in scopes[3:]:
-        for size in range(1, len(scope) + 1):
-            for subset in combinations(scope, size):
-                alpha = Antichain.of([subset])
-                terms = tuple(
-                    (canonical[AtomRef(scope, node)], one)
-                    for node in nodes[scope]
-                    if leq(node, alpha)
-                )
-                provenance = (
-                    f"sum rule: atoms of scope {_scope_str(scope)} dominated by "
-                    f"{_scope_str(subset)} add up to I({_scope_str(subset)};T)"
-                )
-                mutual_sums.append(((len(scope), -len(terms)), (subset, terms, provenance)))
-    # Within a scope size the widest down-set first; the sort is stable.
-    mutual_sums.sort(key=lambda keyed: keyed[0])
+    for width in (2, 3):
+        for size in range(width, 0, -1):
+            for scope in combinations(full, width):
+                for subset in combinations(scope, size):
+                    alpha = Antichain.of([subset])
+                    add(
+                        "MutualSum",
+                        (
+                            (canonical[AtomRef(scope, node)], one)
+                            for node in nodes[scope]
+                            if leq(node, alpha)
+                        ),
+                        "eq",
+                        f"sum rule: atoms of scope {_scope_str(scope)} dominated by "
+                        f"{_scope_str(subset)} add up to I({_scope_str(subset)};T)",
+                        subset=subset,
+                    )
 
-    monotonicity = []
-    for i, j in combinations(full_scope, 2):
+    for i, j in combinations(full, 2):
         pair_red = atom((i, j), (i,), (j,))
         for single in (i, j):
-            monotonicity.append(row(
+            add(
                 "Monotonicity",
                 ((pair_red, one), (atom((single,), (single,)), minus)),
                 "le",
                 f"monotonicity: redundancy of {_scope_str((i, j))} cannot exceed "
                 f"source {single}'s information",
-            ))
-        monotonicity.append(row(
+            )
+        add(
             "Monotonicity",
-            ((atom(full_scope, (1,), (2,), (3,)), one), (pair_red, minus)),
+            ((atom(full, (1,), (2,), (3,)), one), (pair_red, minus)),
             "le",
             "monotonicity: all-way redundancy cannot exceed the redundancy of "
             f"{_scope_str((i, j))}",
-        ))
-
-    return _Skeleton(
-        scopes=scopes,
-        refs=refs,
-        nonnegativity=nonnegativity,
-        self_redundancy=self_redundancy,
-        independent_identity=independent_identity,
-        determinism=determinism,
-        cross_scale=tuple(cross_scale),
-        mutual_sums=tuple(row for _, row in mutual_sums),
-        monotonicity=tuple(monotonicity),
-    )
+        )
+    return refs, tuple(templates)
 
 
 def build_constraints(
@@ -387,10 +352,14 @@ def build_constraints(
     single-source subsets, leaving multi-source sums tied across scopes by
     the cross-scale identities but not pinned to measured values.
 
-    Rows come grouped by kind, in the order Nonnegativity, SelfRedundancy,
-    IndependentIdentityZero, DeterminismZero, CrossScale, MutualSum,
-    Monotonicity. Propagation visits rows in this order, so it decides which
-    row a contradiction trips at, and with it the certificate.
+    The rows are the templates of :func:`_skeleton`, in their order: a row
+    whose structural rule did not fire is left out, and a measured row takes
+    its measured information as rhs (or, under ``"singletons"``, is left out
+    when its subset holds more than one source). Rows come grouped by kind,
+    in the order Nonnegativity, SelfRedundancy, IndependentIdentityZero,
+    DeterminismZero, CrossScale, MutualSum, Monotonicity. Propagation visits
+    rows in this order, so it decides which row a contradiction trips at,
+    and with it the certificate.
     """
     if len(sources) != 3:
         raise UnsupportedArity("the deduction engine supports exactly 3 sources")
@@ -402,63 +371,55 @@ def build_constraints(
         "+".join(d.variables[i].name for i in g) for g in groups
     )
     target_name = "+".join(d.variables[i].name for i in tgt)
-    skeleton = _skeleton()
+    refs, templates = _skeleton()
 
     def union_indices(scope: Scope) -> tuple[int, ...]:
         return tuple(sorted({i for member in scope for i in groups[member - 1]}))
 
     mi: dict[Scope, Fraction] = {}
-    for s in skeleton.scopes:
+    for s in _SCOPES:
         sel = union_indices(s)
         exact = d.mutual_information_exact(sel, tgt)
         mi[s] = exact if exact is not None else _snap(d.mutual_information(sel, tgt), tol)
 
-    # Exact structural facts about the distribution.
-    firings: list[str] = []
-    structural: list[Constraint] = []
-    for i, j in combinations((1, 2, 3), 2):
+    # Exact structural facts about the distribution: the firing of each rule
+    # that fired, with its human-readable note.
+    fired: dict[tuple, str] = {}
+    for i, j in combinations(_FULL_SCOPE, 2):
         union = union_indices((i, j))
         independent = d.is_independent(groups[i - 1], groups[j - 1])
         equivalent = d.is_deterministic(tgt, union) and d.is_deterministic(union, tgt)
         if independent and equivalent:
-            firings.append(
+            fired["independent-identity", (i, j)] = (
                 f"independent-identity fired for sources {i},{j}: independent pair, "
                 "target informationally equivalent to their join"
             )
-            structural.append(skeleton.independent_identity[(i, j)])
-    for i in (1, 2, 3):
-        rest = tuple(x for x in (1, 2, 3) if x != i)
+    for i in _FULL_SCOPE:
+        rest = tuple(x for x in _FULL_SCOPE if x != i)
         covered = tuple(sorted(set(tgt) | set(groups[i - 1])))
         if d.is_deterministic(covered, union_indices(rest)):
-            firings.append(
+            fired["determinism", i] = (
                 f"determinism fired for source {i}: sources {rest[0]},{rest[1]} "
                 f"determine the target and source {i}"
             )
-            structural.extend(skeleton.determinism[i])
 
-    def measured(kind: str, rows) -> list[Constraint]:
-        return [
-            Constraint(kind, terms, "eq", mi[subset], provenance)
-            for subset, terms, provenance in rows
-            if mutual_sums == "all" or len(subset) == 1
-        ]
-
-    constraints = (
-        *skeleton.nonnegativity,
-        *measured("SelfRedundancy", skeleton.self_redundancy),
-        *structural,
-        *skeleton.cross_scale,
-        *measured("MutualSum", skeleton.mutual_sums),
-        *skeleton.monotonicity,
-    )
+    constraints = []
+    for c, subset, firing in templates:
+        if firing is not None and firing not in fired:
+            continue
+        if subset is not None:
+            if mutual_sums == "singletons" and len(subset) > 1:
+                continue
+            c = Constraint(c.kind, c.terms, c.relation, mi[subset], c.provenance)
+        constraints.append(c)
     return DeductionState(
         source_names=names,
         target_name=target_name,
-        constraints=constraints,
-        intervals={ref: Interval() for ref in skeleton.refs},
+        constraints=tuple(constraints),
+        intervals={ref: Interval() for ref in refs},
         mutual_info=mi,
         mode=mutual_sums,
-        firings=tuple(firings),
+        firings=tuple(fired.values()),
     )
 
 
@@ -738,7 +699,7 @@ def wesp_report(state: DeductionState) -> WespReport:
         lo = state.intervals[ref].lo
         if lo is not None and lo > 0:
             lower += lo
-    total_mi = state.mutual_info[(1, 2, 3)]
+    total_mi = state.mutual_info[_FULL_SCOPE]
     gap = lower - total_mi
     violated = gap > 0
     return WespReport(

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from infodecomp.cli import main
+from infodecomp.sid import EntropyVector
 
 
 def run(capsys, *argv):
@@ -123,6 +124,20 @@ class TestDecomposeSid:
         )
         assert code == 0
         assert doc["values"]["redundancy"]["exact"] == "1/2"
+
+    def test_measures_the_system_once(self, capsys, monkeypatch):
+        measure = EntropyVector.from_distribution.__func__
+        calls = []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return measure(cls, *args, **kwargs)
+
+        monkeypatch.setattr(EntropyVector, "from_distribution", classmethod(counted))
+        code, out, _ = run(capsys, "decompose-sid", "--builtin", "system2")
+        assert code == 0
+        assert "max residual 0, matrix rank 9" in out
+        assert len(calls) == 1
 
 
 class TestPidDeduce:
@@ -252,14 +267,35 @@ class TestUsageErrors:
     @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
     def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tolerance):
         with pytest.raises(SystemExit) as exc:
-            main([f"--tolerance={tolerance}", "decompose-sid", "--builtin", "system2"])
+            main(["decompose-sid", "--builtin", "system2", f"--tolerance={tolerance}"])
         assert exc.value.code == 2
         assert "--tolerance" in capsys.readouterr().err
 
     def test_zero_tolerance_is_valid(self, capsys):
-        code, out, _ = run(capsys, "--tolerance", "0", "decompose-sid", "--builtin", "system2")
+        code, out, _ = run(capsys, "decompose-sid", "--builtin", "system2", "--tolerance", "0")
         assert code == 0
         assert "sum rules: 9/9 hold" in out
+
+    def test_pid_deduce_takes_a_tolerance(self, capsys):
+        code, out, _ = run(capsys, "pid-deduce", "--builtin", "system2", "--tolerance", "0")
+        assert code == 0
+        assert "status: contradiction" in out
+
+    @pytest.mark.parametrize("command", ["decompose-sid", "pid-deduce"])
+    def test_both_commands_that_read_a_tolerance_check_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--builtin", "system2", "--tolerance", "-1"])
+        assert exc.value.code == 2
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-paper", "--tolerance", "0"],
+        ["--tolerance", "0", "verify-paper"],
+    ])
+    def test_tolerance_is_refused_where_it_is_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_unknown_group_is_input_error(self, capsys):
         code, _, err = run(

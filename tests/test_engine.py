@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from infodecomp.lattice import Antichain, parse_antichain
 
 BIT = [0, 1]
 S123 = (("S1",), ("S2",), ("S3",))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def constant_target_xor():
@@ -255,3 +257,31 @@ class TestReports:
         determinism = [f for f in state.firings if "determinism" in f]
         assert len(independent) == 3
         assert len(determinism) == 3
+
+
+def constraint_rows_text(system1_subtargets, system2) -> str:
+    """Every row of five reference systems, one line each: kind, relation,
+    rhs, signed terms in order, provenance."""
+    systems = [
+        (f"system2 {mode}", system2.dist, "T", mode) for mode in ("all", "singletons")
+    ] + [
+        (f"system1 {part} all", system1_subtargets.dist, part, "all")
+        for part in ("T1", "T2", "T3")
+    ]
+    lines = []
+    for label, d, target, mode in systems:
+        lines.append(f"# {label}")
+        for c in build_constraints(d, S123, (target,), mutual_sums=mode).constraints:
+            terms = " ".join(
+                ("+" if coeff == 1 else "-" if coeff == -1 else f"({coeff})") + str(ref)
+                for ref, coeff in c.terms
+            )
+            lines.append(f"{c.kind} {c.relation} {c.rhs} [{terms}] {c.provenance}")
+    return "\n".join(lines) + "\n"
+
+
+def test_constraint_rows_are_unchanged(system1_subtargets, system2):
+    # Row order, term order and provenance decide which row a contradiction
+    # trips at and what its certificate cites.
+    expected = (GOLDEN / "constraint_rows.txt").read_text(encoding="utf-8")
+    assert constraint_rows_text(system1_subtargets, system2) == expected
