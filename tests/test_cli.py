@@ -2,11 +2,15 @@
 
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
 from infodecomp.cli import main
 from infodecomp.sid import EntropyVector
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -82,6 +86,19 @@ class TestLattice:
         code, doc = run_json(capsys, "lattice", "--n", "3", "--kind", "half")
         assert code == 0
         assert doc["values"]["node_count"] == 10
+
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("lattice_n4.txt", ["lattice", "--n", "4"]),
+            ("lattice_n4.json", ["--format", "json", "lattice", "--n", "4"]),
+            ("lattice_n3_half.txt", ["lattice", "--n", "3", "--kind", "half"]),
+        ],
+    )
+    def test_output_is_unchanged(self, capsys, golden, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_bad_arity_is_input_error(self, capsys):
         code, _, err = run(capsys, "lattice", "--n", "7")

@@ -150,6 +150,13 @@ class TestOrder:
             if leq(a, b) and leq(b, c):
                 assert leq(a, c)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_downsets_agree_with_the_set_order(self, n):
+        lattice = enumerate_full(n)
+        for alpha in lattice.nodes:
+            expected = tuple(b for b in lattice.nodes if leq(b, alpha))
+            assert lattice.downset(alpha) == expected
+
     def test_downset_examples(self):
         two = enumerate_full(2)
         down = {
