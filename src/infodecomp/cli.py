@@ -180,10 +180,11 @@ def _cmd_mutual_info(args) -> int:
 
 def _cmd_lattice(args) -> int:
     lattice = enumerate_half(args.n) if args.kind == "half" else enumerate_full(args.n)
-    rows = []
-    for node in lattice.nodes:
-        below = [format_antichain(b) for b in lattice.downset(node)]
-        rows.append({"antichain": format_antichain(node), "downset": below})
+    names = {node: format_antichain(node) for node in lattice.nodes}
+    rows = [
+        {"antichain": name, "downset": [names[b] for b in lattice.downset(node)]}
+        for node, name in names.items()
+    ]
     doc = {
         "command": "lattice",
         "inputs": {"n": args.n, "kind": args.kind},

@@ -8,16 +8,23 @@ indices; binding indices to actual variables happens at the system level.
 Two lattices are provided: the full lattice of all antichains over n sources
 (n capped at 4; node counts 1, 4, 18, 166), and the half lattice over exactly
 3 sources consisting of the 10 antichains that contain at least one singleton.
+Each is built once per process, on first request, and shared by every caller.
 The order is: beta ≼ alpha iff every element of alpha has a subset in beta.
-Down-sets are the only traversal the decomposition sum rules need, so the
-order is computed on demand and memoized per lattice (safe under concurrent
-readers: the cache is a plain dict only ever written with idempotent values).
+Inside a lattice it is decided on bitmasks: a source subset is an n-bit
+mask, and each node carries the set of its elements and the set of every
+subset lying above one of them (its up-closure), both as masks over the
+2**n - 1 subsets; beta ≼ alpha iff alpha's elements lie in beta's
+up-closure, one integer test. Down-sets are the only traversal the
+decomposition sum rules need, so they are computed on demand and memoized
+per lattice (safe under concurrent readers: the cache is a plain dict only
+ever written with idempotent values).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -85,35 +92,51 @@ def parse_antichain(text: str) -> Antichain:
     return Antichain.of(elements)
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """The source subset as an n-bit mask: source i is bit i - 1."""
+    return sum(1 << (i - 1) for i in indices)
+
+
 @dataclass(frozen=True)
 class AntichainLattice:
-    """All antichains over sources 1..n with the ≼ order precomputable on demand."""
+    """All antichains over sources 1..n with the ≼ order decided on masks."""
 
     n: int
     kind: str  # "full" or "half"
     nodes: tuple[Antichain, ...]
-    _node_set: frozenset = field(init=False, repr=False, compare=False, hash=False)
+    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    _elements: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _up: tuple = field(init=False, repr=False, compare=False, hash=False)
     _downsets: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_node_set", frozenset(self.nodes))
+        # Bit s of these masks stands for the source subset whose mask is s.
+        subsets = range(1, 1 << self.n)
+        masks = [[_mask(e) for e in node.elements] for node in self.nodes]
+        up = (sum(1 << s for s in subsets if any(s & m == m for m in ms)) for ms in masks)
+        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.nodes)})
+        object.__setattr__(self, "_elements", tuple(sum(1 << m for m in ms) for ms in masks))
+        object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_downsets", {})
 
-    def _require_node(self, antichain: Antichain) -> None:
-        if antichain not in self._node_set:
-            raise NotANode(f"{antichain} is not a node of this {self.kind} lattice")
+    def _position(self, antichain: Antichain) -> int:
+        try:
+            return self._index[antichain]
+        except KeyError:
+            raise NotANode(f"{antichain} is not a node of this {self.kind} lattice") from None
 
     def leq(self, beta: Antichain, alpha: Antichain) -> bool:
-        self._require_node(beta)
-        self._require_node(alpha)
-        return leq(beta, alpha)
+        b, a = self._position(beta), self._position(alpha)
+        return not self._elements[a] & ~self._up[b]
 
     def downset(self, alpha: Antichain) -> tuple[Antichain, ...]:
-        """All nodes beta with beta ≼ alpha, alpha included."""
-        self._require_node(alpha)
+        """All nodes beta with beta ≼ alpha, alpha included, in node order."""
         cached = self._downsets.get(alpha)
         if cached is None:
-            cached = tuple(b for b in self.nodes if leq(b, alpha))
+            above = self._elements[self._position(alpha)]
+            cached = tuple(
+                beta for beta, up in zip(self.nodes, self._up) if not above & ~up
+            )
             self._downsets[alpha] = cached
         return cached
 
@@ -124,40 +147,56 @@ class AntichainLattice:
         return iter(self.nodes)
 
     def __contains__(self, antichain: Antichain) -> bool:
-        return antichain in self._node_set
+        return antichain in self._index
 
 
 def enumerate_full(n: int) -> AntichainLattice:
-    """Enumerate every antichain of nonempty subsets of {1..n}."""
+    """Every antichain of nonempty subsets of {1..n}; one shared lattice per n."""
     if n < 1:
         raise ValueError("need at least one source")
     if n > MAX_SOURCES:
         raise TooManySources(
             f"{n} sources refused: the antichain count explodes beyond n={MAX_SOURCES}"
         )
-    subsets = []
-    for size in range(1, n + 1):
-        subsets.extend(combinations(range(1, n + 1), size))
-    nodes = []
-    for r in range(1, len(subsets) + 1):
-        for combo in combinations(subsets, r):
-            if _is_antichain(combo):
-                nodes.append(Antichain.of(combo))
-    nodes = sorted(set(nodes), key=lambda a: a.elements)
-    return AntichainLattice(n, "full", tuple(nodes))
+    return _full_lattice(n)
 
 
 def enumerate_half(n: int) -> AntichainLattice:
     """The 10 antichains over 3 sources that contain at least one singleton."""
     if n != 3:
         raise UnsupportedArity("the half lattice is defined only for exactly 3 sources")
-    full = enumerate_full(3)
-    nodes = tuple(a for a in full.nodes if a.contains_singleton())
+    return _half_lattice()
+
+
+@cache
+def _full_lattice(n: int) -> AntichainLattice:
+    """Grow antichains one subset at a time, taking subsets in canonical
+    order so each element tuple is canonical as built. A subset may join
+    unless it is comparable to a chosen one: one test against the union of
+    the chosen subsets' conflict masks."""
+    masks = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), _indices(m)))
+    subsets = [_indices(m) for m in masks]
+    conflicts = [
+        sum(1 << j for j, t in enumerate(masks) if (s & t) in (s, t)) for s in masks
+    ]
+    found: list[tuple[tuple[int, ...], ...]] = []
+
+    def extend(chosen: tuple, blocked: int, start: int) -> None:
+        for i in range(start, len(masks)):
+            if not blocked >> i & 1:
+                grown = (*chosen, subsets[i])
+                found.append(grown)
+                extend(grown, blocked | conflicts[i], i + 1)
+
+    extend((), 0, 0)
+    return AntichainLattice(n, "full", tuple(Antichain(e) for e in sorted(found)))
+
+
+@cache
+def _half_lattice() -> AntichainLattice:
+    nodes = tuple(a for a in enumerate_full(3).nodes if a.contains_singleton())
     return AntichainLattice(3, "half", nodes)
 
 
-def _is_antichain(subsets) -> bool:
-    for a, b in combinations(subsets, 2):
-        if set(a) <= set(b) or set(b) <= set(a):
-            return False
-    return True
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)

@@ -90,6 +90,11 @@ class TestEnumeration:
         assert len(lattice) == len(oracle) == count
         assert {as_masks(a) for a in lattice.nodes} == set(oracle)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_lattice_per_n_is_shared(self, n):
+        assert enumerate_full(n) is enumerate_full(n)
+        assert enumerate_half(3) is enumerate_half(3)
+
     def test_no_duplicates(self):
         lattice = enumerate_full(3)
         assert len(set(lattice.nodes)) == len(lattice.nodes)

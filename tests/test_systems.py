@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from gray_code_scan import reference_valid_masks
 from infodecomp import (
     AtomAssignment,
     run_all_checks,
@@ -144,6 +147,39 @@ class TestSubsetScan:
         )
         # three of the six 1/3 atoms, any mix of the twelve zero atoms
         assert len(result.valid_masks) == 20 * 2**12
+
+
+def atom_values():
+    """Small signed integers and rationals with denominators 1 to 6."""
+    return st.builds(
+        Fraction, st.integers(-4, 4), st.integers(1, 6)
+    ) | st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def scan_cases(draw):
+    """Two random 18-atom tables and two targets. Half the cases take the
+    targets from the sums of one drawn subset, so that some subset works."""
+    order = enumerate_full(3).nodes
+    tables = [draw(st.lists(atom_values(), min_size=18, max_size=18)) for _ in range(2)]
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, (1 << 18) - 1))
+        targets = [sum((v for b, v in enumerate(t) if mask >> b & 1), Fraction(0)) for t in tables]
+    else:
+        targets = [draw(atom_values()) for _ in range(2)]
+    a1, a2 = (AtomAssignment(f"t{k}", tuple(zip(order, t))) for k, t in enumerate(tables))
+    return a1, a2, targets[0], targets[1]
+
+
+# Each example walks all 2**18 subsets in the reference, so shrinking a
+# failure would take minutes; the failing example is reported unshrunk.
+@settings(derandomize=True, deadline=None, max_examples=10, phases=[Phase.generate])
+@given(scan_cases())
+def test_scan_matches_the_gray_code_walk(case):
+    a1, a2, i1, i2 = case
+    result = scan_universal_subsets(a1, a2, i1, i2)
+    assert result.subsets_checked == 1 << 18
+    assert result.valid_masks == reference_valid_masks(a1, a2, i1, i2)
 
 
 class TestSynergyExcess:
