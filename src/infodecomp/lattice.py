@@ -174,8 +174,9 @@ def _full_lattice(n: int) -> AntichainLattice:
     order so each element tuple is canonical as built. A subset may join
     unless it is comparable to a chosen one: one test against the union of
     the chosen subsets' conflict masks."""
-    masks = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), _indices(m)))
-    subsets = [_indices(m) for m in masks]
+    sources = range(1, n + 1)
+    subsets = [c for size in sources for c in combinations(sources, size)]
+    masks = [_mask(c) for c in subsets]
     conflicts = [
         sum(1 << j for j, t in enumerate(masks) if (s & t) in (s, t)) for s in masks
     ]
@@ -196,7 +197,3 @@ def _full_lattice(n: int) -> AntichainLattice:
 def _half_lattice() -> AntichainLattice:
     nodes = tuple(a for a in enumerate_full(3).nodes if a.contains_singleton())
     return AntichainLattice(3, "half", nodes)
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
