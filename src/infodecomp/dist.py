@@ -517,9 +517,10 @@ def from_circuit(
     columns: list[tuple[str, tuple[str, ...]]] = list(spec.groupings)
     if spec.target:
         columns.append((spec.TARGET_NAME, spec.target))
+    sorted_bits = [tuple(sorted(grouped)) for _, grouped in columns]
 
-    def column_value(bits: dict[str, int], grouped: tuple[str, ...]):
-        ordered = tuple(bits[b] for b in sorted(grouped))
+    def column_value(bits: dict[str, int], ordered_bits: tuple[str, ...]):
+        ordered = tuple(bits[b] for b in ordered_bits)
         return ordered[0] if len(ordered) == 1 else ordered
 
     hits: dict[Outcome, int] = {}
@@ -530,7 +531,7 @@ def from_circuit(
             for op in operands:
                 acc ^= bits[op]
             bits[name] = acc
-        outcome = tuple(column_value(bits, grouped) for _, grouped in columns)
+        outcome = tuple(column_value(bits, ordered_bits) for ordered_bits in sorted_bits)
         hits[outcome] = hits.get(outcome, 0) + 1
 
     names = [name for name, _ in columns]

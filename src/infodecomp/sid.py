@@ -8,13 +8,15 @@ the Gács-Körner value from :mod:`infodecomp.redundancy` is the default, but
 any alternative can be injected without touching the solver.
 
 Atom values may be negative; they are reported, never clamped. All algebra
-runs on exact rationals (floats embed exactly), so the sum-rule checks on
-dyadic systems are exact equalities rather than tolerance comparisons.
+runs on exact rationals: an :class:`EntropyVector` turns each entropy into a
+``Fraction`` once (a float embeds exactly), and every tolerance test compares
+an exact difference with the tolerance, so a tolerance of 0 passes every
+check that holds exactly in the stored values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -23,13 +25,6 @@ from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
 from .errors import AxiomViolated, NegativeRedundancy, RankDeficient, ResidualTooLarge
 from .lattice import Antichain
 from .redundancy import common_partition
-
-Number = Fraction | float
-
-
-def _exact(x: Number) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
 
 #: Atom ordering of the unknown vector in the 9x10 summation-rule system.
 ATOM_ORDER: tuple[Antichain, ...] = (
@@ -73,15 +68,19 @@ _RULE_LABELS: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class EntropyVector:
-    """The seven joint entropies of a three-variable system, in bits."""
+    """The seven joint entropies of a three-variable system, in bits, as Fractions."""
 
-    h1: Number
-    h2: Number
-    h3: Number
-    h12: Number
-    h13: Number
-    h23: Number
-    h123: Number
+    h1: Fraction
+    h2: Fraction
+    h3: Fraction
+    h12: Fraction
+    h13: Fraction
+    h23: Fraction
+    h123: Fraction
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, Fraction(getattr(self, f.name)))
 
     @classmethod
     def from_distribution(
@@ -90,7 +89,7 @@ class EntropyVector:
         """Measure the seven entropies, exactly where the masses allow it."""
         groups = [d.resolve(s) for s in (s1, s2, s3)]
 
-        def h(*which: int) -> Number:
+        def h(*which: int) -> Fraction | float:
             sel = tuple(sorted({i for w in which for i in groups[w]}))
             exact = d.entropy_exact(sel)
             return exact if exact is not None else d.entropy(sel)
@@ -99,27 +98,30 @@ class EntropyVector:
 
     def rhs(self) -> tuple[Fraction, ...]:
         """Right-hand sides of the nine sum rules."""
-        vals = [self.h1, self.h2, self.h3, self.h12, self.h13, self.h23]
-        vals += [self.h123] * 3
-        return tuple(_exact(v) for v in vals)
+        return (self.h1, self.h2, self.h3, self.h12, self.h13, self.h23) + (self.h123,) * 3
 
     def validate(self, tol: float = DEFAULT_TOLERANCE) -> None:
-        """Check monotonicity and submodularity over all subset pairs."""
+        """Check monotonicity and submodularity over all subset pairs, comparing
+        each exact excess with ``tol``. Pairs whose inequality is an identity
+        are skipped: equal sets for monotonicity, nested sets for submodularity.
+        """
+        if not tol >= 0:
+            raise ValueError(f"tolerance must be >= 0, got {tol}")
         h = {
             frozenset(): Fraction(0),
-            frozenset({1}): _exact(self.h1),
-            frozenset({2}): _exact(self.h2),
-            frozenset({3}): _exact(self.h3),
-            frozenset({1, 2}): _exact(self.h12),
-            frozenset({1, 3}): _exact(self.h13),
-            frozenset({2, 3}): _exact(self.h23),
-            frozenset({1, 2, 3}): _exact(self.h123),
+            frozenset({1}): self.h1,
+            frozenset({2}): self.h2,
+            frozenset({3}): self.h3,
+            frozenset({1, 2}): self.h12,
+            frozenset({1, 3}): self.h13,
+            frozenset({2, 3}): self.h23,
+            frozenset({1, 2, 3}): self.h123,
         }
         for a in h:
             for b in h:
-                if a <= b and h[a] > h[b] + tol:
+                if a < b and h[a] - h[b] > tol:
                     raise ValueError(f"entropy not monotone: H{set(a)} > H{set(b)}")
-                if h[a | b] + h[a & b] > h[a] + h[b] + tol:
+                if not (a <= b or b <= a) and h[a | b] + h[a & b] - h[a] - h[b] > tol:
                     raise ValueError(
                         f"entropy not submodular on {set(a)}, {set(b)}"
                     )
@@ -152,7 +154,7 @@ class SIAtomTable:
 
 
 def si_atoms(
-    ev: EntropyVector, red: Number, tol: float = DEFAULT_TOLERANCE
+    ev: EntropyVector, red: Fraction | float, tol: float = DEFAULT_TOLERANCE
 ) -> SIAtomTable:
     """Solve all ten atoms from the entropy vector and an injected redundancy.
 
@@ -165,12 +167,12 @@ def si_atoms(
         psi({i})        = H(S1,S2,S3) - H(Sj,Sk)
     """
     ev.validate(tol)
-    r = _exact(red)
+    r = Fraction(red)
     if r < 0:
         raise NegativeRedundancy(f"injected redundancy {red} is negative")
-    h1, h2, h3 = _exact(ev.h1), _exact(ev.h2), _exact(ev.h3)
-    h12, h13, h23 = _exact(ev.h12), _exact(ev.h13), _exact(ev.h23)
-    h123 = _exact(ev.h123)
+    h1, h2, h3, h12, h13, h23, h123 = (
+        ev.h1, ev.h2, ev.h3, ev.h12, ev.h13, ev.h23, ev.h123
+    )
     synergy = -h1 - h2 - h3 + h12 + h13 + h23 - h123 + r
     values = (
         r,
@@ -190,7 +192,7 @@ def si_atoms(
 def _measure_and_solve(
     d: JointDistribution,
     groups: tuple[GroupLike, GroupLike, GroupLike],
-    red: Number | None,
+    red: Fraction | float | None,
     tol: float,
 ) -> tuple[EntropyVector, SIAtomTable]:
     """The entropy vector, measured once, and the table :func:`decompose` solves."""
@@ -206,7 +208,7 @@ def decompose(
     s1: GroupLike,
     s2: GroupLike,
     s3: GroupLike,
-    red: Number | None = None,
+    red: Fraction | float | None = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> SIAtomTable:
     """Measure entropies, default the redundancy to the common-partition value,
@@ -214,9 +216,10 @@ def decompose(
     return _measure_and_solve(d, (s1, s2, s3), red, tol)[1]
 
 
-def exact_rank(matrix: Sequence[Sequence[Number]]) -> int:
-    """Row rank by Gaussian elimination over exact rationals."""
-    rows = [[_exact(x) for x in row] for row in matrix]
+def exact_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
+    """Row rank by fraction-free Gaussian elimination, exact on ints and
+    Fractions."""
+    rows = [list(row) for row in matrix]
     if not rows:
         return 0
     cols = len(rows[0])
@@ -228,9 +231,9 @@ def exact_rank(matrix: Sequence[Sequence[Number]]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         head = rows[rank][col]
         for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] / head
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+            factor = rows[i][col]
+            if i != rank and factor != 0:
+                rows[i] = [head * a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -267,10 +270,10 @@ def verify_linear_system(
     if rank != 9:
         raise RankDeficient(f"sum-rule matrix rank {rank}, expected 9")
     residuals = tuple(lhs - y for lhs, y in zip(_rule_sums(table), ev.rhs()))
-    worst = max(abs(float(r)) for r in residuals)
+    worst = max(map(abs, residuals))
     if worst > tol:
-        raise ResidualTooLarge(f"max sum-rule residual {worst} exceeds {tol}")
-    return LinearSystemReport(residuals, rank, worst)
+        raise ResidualTooLarge(f"max sum-rule residual {float(worst)} exceeds {tol}")
+    return LinearSystemReport(residuals, rank, float(worst))
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,7 @@ def check_sum_rules(
     s1: GroupLike,
     s2: GroupLike,
     s3: GroupLike,
-    red: Number | None = None,
+    red: Fraction | float | None = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> SumRuleReport:
     """Verify the nine entropy sum rules, the rows of SUM_RULE_MATRIX.
@@ -322,7 +325,7 @@ def check_sum_rules(
     # The report lists the total rules in synergy-atom order: rows 9, 8, 7.
     report = SumRuleReport(table, checks[:3], checks[3:6], checks[:5:-1], table.total())
     for check in report.all_checks():
-        if abs(float(check.residual)) > tol:
+        if abs(check.residual) > tol:
             raise AxiomViolated(check.label, float(check.residual))
     return report
 
@@ -339,7 +342,7 @@ def synergy_sum_check(
     s1: GroupLike,
     s2: GroupLike,
     s3: GroupLike,
-    red: Number | None = None,
+    red: Fraction | float | None = None,
     tol: float = DEFAULT_TOLERANCE,
 ) -> SynergySumResult:
     """Sum the three two-versus-one synergy atoms against the joint entropy.
@@ -349,35 +352,4 @@ def synergy_sum_check(
     """
     ev, table = _measure_and_solve(d, (s1, s2, s3), red, tol)
     total = sum((v for _, v in table.synergy_atoms()), Fraction(0))
-    h = _exact(ev.h123)
-    return SynergySumResult(total, h, float(total) > float(h) + tol)
-
-
-@dataclass(frozen=True)
-class SubsystemComparison:
-    pair: tuple[int, int]
-    from_full_table: Fraction  # psi({i}{j}{k}) + psi({i}{k})
-    from_marginal: float  # I(Si;Sk), measured on the pair's marginal
-
-    @property
-    def residual(self) -> float:
-        return float(self.from_full_table) - self.from_marginal
-
-
-def subsystem_comparisons(
-    d: JointDistribution,
-    s1: GroupLike,
-    s2: GroupLike,
-    s3: GroupLike,
-    red: Number | None = None,
-) -> tuple[SubsystemComparison, ...]:
-    """Compare pair information reconstructed from the full table against
-    the pair mutual information measured on marginals; reports both sides."""
-    table = decompose(d, s1, s2, s3, red=red)
-    groups = (s1, s2, s3)
-    out = []
-    for i, k in ((1, 2), (1, 3), (2, 3)):
-        reconstructed = table.red + table.value(Antichain.of([(i,), (k,)]))
-        shared = d.mutual_information(groups[i - 1], groups[k - 1])
-        out.append(SubsystemComparison((i, k), reconstructed, shared))
-    return tuple(out)
+    return SynergySumResult(total, ev.h123, total - ev.h123 > tol)

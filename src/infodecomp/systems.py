@@ -128,7 +128,6 @@ def golden_assignment(label: str) -> AtomAssignment:
 @dataclass(frozen=True)
 class SystemDeduction:
     assignment: AtomAssignment
-    states: tuple[DeductionState, ...]
     total_information: Fraction
 
 
@@ -148,7 +147,6 @@ def derive_system1_table() -> SystemDeduction:
         raise ReproductionFailed(
             "system1 target bits are not mutually independent; cannot sum tables"
         )
-    states = []
     totals: dict[Antichain, Fraction] = {a: Fraction(0) for a in _full_lattice_order()}
     for part in parts:
         state = propagate(build_constraints(d, built.sources, (part,)))
@@ -158,12 +156,11 @@ def derive_system1_table() -> SystemDeduction:
             )
         for antichain, value in state.full_scope_table().items():
             totals[antichain] += value
-        states.append(state)
     total_i = d.mutual_information_exact(
         [n for g in built.sources for n in g], built.target
     )
     assignment = AtomAssignment("system1", tuple(totals.items()))
-    return SystemDeduction(assignment, tuple(states), total_i)
+    return SystemDeduction(assignment, total_i)
 
 
 def derive_system2_table() -> SystemDeduction:
@@ -203,7 +200,7 @@ def derive_system2_table() -> SystemDeduction:
     assignment = AtomAssignment(
         "system2", tuple((a, table[a]) for a in _full_lattice_order())
     )
-    return SystemDeduction(assignment, (state,), total_i)
+    return SystemDeduction(assignment, total_i)
 
 
 # --- contradiction reproduction -----------------------------------------------
@@ -281,7 +278,6 @@ class TableMatchReport:
     system2: SystemDeduction
     tables_equal: bool
     matches_golden: bool
-    informations_differ: bool
 
 
 def verify_matching_tables() -> TableMatchReport:
@@ -310,7 +306,7 @@ def verify_matching_tables() -> TableMatchReport:
             f"total informations {one.total_information}, {two.total_information},"
             " expected 3 and 2"
         )
-    return TableMatchReport(one, two, tables_equal, matches_golden, True)
+    return TableMatchReport(one, two, tables_equal, matches_golden)
 
 
 # --- exhaustive subset scan -----------------------------------------------------

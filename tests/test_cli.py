@@ -288,10 +288,37 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--tolerance" in capsys.readouterr().err
 
-    def test_zero_tolerance_is_valid(self, capsys):
-        code, out, _ = run(capsys, "decompose-sid", "--builtin", "system2", "--tolerance", "0")
-        assert code == 0
-        assert "sum rules: 9/9 hold" in out
+    def test_zero_tolerance_is_valid(self, capsys, tmp_path):
+        # One third each on three outcomes: no mass is a power of 1/2, so the
+        # entropies are floats, and H{1} + H{1,2} = H{1,2} + H{1} must still
+        # pass as the identity it is.
+        one_third = tmp_path / "one_third.json"
+        one_third.write_text(json.dumps({
+            "variables": ["A", "B", "C"],
+            "alphabets": [[0, 1], [0, 1], [0, 1]],
+            "pmf": [
+                {"outcome": o, "p": "1/3"} for o in ([0, 0, 0], [1, 0, 1], [1, 1, 0])
+            ],
+        }))
+        for source in (
+            ["--builtin", "system2"],
+            ["--input", str(one_third), "--sources", "A,B,C"],
+        ):
+            code, out, err = run(capsys, "decompose-sid", *source, "--tolerance", "0")
+            assert (code, err) == (0, "")
+            assert "sum rules: 9/9 hold" in out
+
+    @pytest.mark.parametrize("red", ["1/0", "1e400", "abc", "nan", "inf"])
+    def test_red_must_be_a_finite_rational(self, capsys, red):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose-sid", "--builtin", "system2", f"--red={red}"])
+        assert exc.value.code == 2
+        assert "--red" in capsys.readouterr().err
+
+    def test_negative_red_is_input_error(self, capsys):
+        code, _, err = run(capsys, "decompose-sid", "--builtin", "system2", "--red=-1/2")
+        assert code == 3
+        assert err == "error: injected redundancy -1/2 is negative\n"
 
     def test_pid_deduce_takes_a_tolerance(self, capsys):
         code, out, _ = run(capsys, "pid-deduce", "--builtin", "system2", "--tolerance", "0")

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodecomp import (
     ATOM_ORDER,
@@ -20,7 +22,7 @@ from infodecomp import (
 from infodecomp.dist import DEFAULT_TOLERANCE as TOL
 from infodecomp.errors import AxiomViolated, NegativeRedundancy, ResidualTooLarge
 from infodecomp.lattice import Antichain, enumerate_half, parse_antichain
-from infodecomp.sid import SIAtomTable, exact_rank, subsystem_comparisons
+from infodecomp.sid import SIAtomTable, exact_rank
 
 from conftest import SOURCES_ABC
 
@@ -98,6 +100,69 @@ class TestClosedForm:
             si_atoms(EntropyVector(1, 1, 1, 3, 2, 2, 3), 0)  # h12 > h1+h2
         with pytest.raises(ValueError):
             si_atoms(EntropyVector(2, 1, 1, 1, 2, 2, 2), 0)  # h12 < h1
+
+    def test_entropies_become_exact_once(self):
+        ev = EntropyVector(0.1, 1, Fraction(1, 3), 1.1, 1, 1, 1.1)
+        assert all(type(h) is Fraction for h in vars(ev).values())
+        assert ev.h1 == Fraction(0.1) and ev.h3 == Fraction(1, 3)
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            EntropyVector(1, 1, 1, 2, 2, 2, 3).validate(-1e-9)
+
+
+#: The subsets of {1, 2, 3} in the order EntropyVector.validate visits them.
+SUBSETS = tuple(
+    frozenset(s) for s in ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
+)
+
+
+def reference_validate(values, tol):
+    """All 64 ordered pairs and both Shannon inequalities, in exact arithmetic;
+    the message of the first failure, or None."""
+    h = dict(zip(SUBSETS, [Fraction(0), *map(Fraction, values)]))
+    for a in h:
+        for b in h:
+            if a <= b and h[a] - h[b] > tol:
+                return f"entropy not monotone: H{set(a)} > H{set(b)}"
+            if h[a | b] + h[a & b] - (h[a] + h[b]) > tol:
+                return f"entropy not submodular on {set(a)}, {set(b)}"
+    return None
+
+
+@st.composite
+def perturbed_entropy_vectors(draw):
+    """An exact polymatroid, with some fields nudged by +-1e-12 or +-2e-9.
+
+    H(S) sums small dyadic weights over the extreme rays of the three-variable
+    polymatroid cone: "S meets T" for each nonempty T, and min(|S|, 2). Most
+    weights are 0, so the vector often sits on a face of the cone where many
+    inequalities are tight. Each field is handed over as a Fraction or as the
+    nearest float.
+    """
+    weights = draw(st.lists(
+        st.sampled_from([0, 0, 0, Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2)]),
+        min_size=8, max_size=8,
+    ))
+    values = []
+    for s in SUBSETS[1:]:
+        exact = sum(w * bool(s & t) for w, t in zip(weights, SUBSETS[1:]))
+        exact += weights[7] * min(len(s), 2)
+        exact += Fraction(draw(st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 2e-9, -2e-9])))
+        values.append(float(exact) if draw(st.booleans()) else exact)
+    return values
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(perturbed_entropy_vectors(), st.sampled_from([0.0, 1e-9, math.inf]))
+def test_validate_agrees_with_the_all_pairs_reference(values, tol):
+    expected = reference_validate(values, tol)
+    try:
+        EntropyVector(*values).validate(tol)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 class TestLinearSystem:
@@ -258,9 +323,14 @@ class TestReconstructionIdentities:
                 )
 
     def test_subsystem_tables_agree_with_marginals(self, corpus):
+        """red + psi({i}{k}) is I(Si;Sk) measured on the pair's own marginal."""
+        pairs = (("A", "B", (1, 2)), ("A", "C", (1, 3)), ("B", "C", (2, 3)))
         for d in corpus[:60]:
-            for comparison in subsystem_comparisons(d, *SOURCES_ABC):
-                assert comparison.residual == pytest.approx(0.0, abs=TOL)
+            table = decompose(d, *SOURCES_ABC)
+            for a, b, (i, k) in pairs:
+                reconstructed = table.red + table.value(Antichain.of([(i,), (k,)]))
+                measured = d.marginal([a, b]).mutual_information(a, b)
+                assert float(reconstructed) == pytest.approx(measured, abs=TOL)
 
 
 class TestSynergySum:
