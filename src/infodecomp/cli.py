@@ -26,7 +26,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .dist import DEFAULT_TOLERANCE, CircuitSpec, JointDistribution, from_circuit
+from .dist import DEFAULT_TOLERANCE, CircuitSpec, JointDistribution, Measurement, from_circuit
 from .engine import build_constraints, propagate, wesp_report
 from .errors import InfodecompError
 from .lattice import enumerate_full, enumerate_half, format_antichain
@@ -47,19 +47,19 @@ _EXIT_INPUT = 3
 
 
 def _parse_group(text: str) -> tuple:
-    items = []
-    for token in text.split("+"):
-        token = token.strip()
-        if not token:
-            continue
-        items.append(int(token) if token.isdigit() else token)
-    if not items:
+    tokens = [token.strip() for token in text.split("+")]
+    if not any(tokens):
         raise ValueError(f"empty group selector in {text!r}")
-    return tuple(items)
+    if not all(tokens):
+        raise ValueError(f"empty variable name in group {text!r}")
+    return tuple(int(token) if token.isdigit() else token for token in tokens)
 
 
 def _parse_groups(text: str) -> tuple[tuple, ...]:
-    return tuple(_parse_group(part) for part in text.split(",") if part.strip())
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty source group in {text!r}")
+    return tuple(_parse_group(part) for part in parts)
 
 
 def _tolerance(text: str) -> float:
@@ -165,8 +165,7 @@ def _cmd_entropy(args) -> int:
     inputs = _load_inputs(args)
     group = _parse_group(args.group)
     d = inputs.dist
-    exact = d.entropy_exact(group)
-    value = exact if exact is not None else d.entropy(group)
+    value = Measurement(d).entropy(d.resolve(group))
     doc = {
         "command": "entropy",
         "inputs": {"system": inputs.label, "group": args.group},
@@ -180,8 +179,7 @@ def _cmd_mutual_info(args) -> int:
     inputs = _load_inputs(args)
     a, b = _parse_group(args.a), _parse_group(args.b)
     d = inputs.dist
-    exact = d.mutual_information_exact(a, b)
-    value = exact if exact is not None else d.mutual_information(a, b)
+    value = Measurement(d).mutual_information(d.resolve(a), d.resolve(b))
     doc = {
         "command": "mutual-info",
         "inputs": {"system": inputs.label, "a": args.a, "b": args.b},
@@ -216,19 +214,18 @@ def _cmd_redundancy_gk(args) -> int:
     if len(sources) < 2:
         raise InfodecompError("redundancy needs at least two source groups")
     part = common_partition(inputs.dist, list(sources))
-    value = part.value_exact if part.value_exact is not None else part.value
     masses = [f"{p.numerator}/{p.denominator}" for p in part.block_probabilities]
     doc = {
         "command": "redundancy-gk",
         "inputs": {"system": inputs.label, "sources": args.sources or "declared"},
         "values": {
-            "redundancy": _number(value),
+            "redundancy": _number(part.value),
             "block_count": len(part.blocks),
             "block_masses": masses,
         },
     }
     lines = [
-        f"H(Q) = {_fmt(value)} bits",
+        f"H(Q) = {_fmt(part.value)} bits",
         f"blocks: {len(part.blocks)}",
         f"block masses: {' '.join(masses)}",
     ]

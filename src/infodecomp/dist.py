@@ -4,16 +4,18 @@ Probabilities are exact rationals: a distribution holds its masses as
 integer counts over one common denominator N (the lcm of the support's
 denominators), and they cross the public boundary as
 :class:`fractions.Fraction`. Marginals, independence checks and entropies
-sum and compare those ints, never Fractions. Entropies are floats in bits
-(log base 2) compared with a single global tolerance
-(:data:`DEFAULT_TOLERANCE`). Determinism and independence checks are exact
-support checks, never tolerance checks. Whenever every marginal mass is a
-power-of-two reciprocal, an exact rational entropy is available through
-:func:`exact_entropy_of_masses`, which is what makes integer bit counts on
-dyadic systems exact rather than approximate.
+sum and compare those ints, never Fractions. Entropies are in bits (log
+base 2): an exact Fraction when every marginal mass is a power-of-two
+reciprocal, which makes integer bit counts on dyadic systems exact rather
+than approximate, and a float otherwise, compared with a single global
+tolerance (:data:`DEFAULT_TOLERANCE`). Determinism and independence checks
+are exact checks on the count tables, never tolerance checks. That choice
+is made in one place, :class:`Measurement`, which projects each marginal of
+a system once and answers every question from those tables.
 
-All types are immutable after construction and safe to share across threads;
-all operations are pure functions of their inputs.
+All types except :class:`Measurement`, a per-call cache, are immutable
+after construction and safe to share across threads; all operations are
+pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     AlphabetViolation,
@@ -56,22 +58,27 @@ class VariableId:
     index: int
 
 
-def _entropy_of_counts(counts: Sequence[int], total: int) -> float:
+def _entropy(counts: Collection[int], total: int) -> Fraction | float:
     """Shannon entropy in bits of masses c/N, given as positive integer
-    counts c over the common denominator N = `total`.
+    counts c over N = `total`: exact when every mass is 2**-k, else a float.
 
-    Each term is (c/N) * (log2(N/g) - log2(c/g)) with g = gcd(c, N), i.e.
-    the logs of the reduced fraction's denominator and numerator; counts are
-    sorted by the caller when order-independent output matters.
+    A mass 2**-k adds p*k. A projected mass can be dyadic when N is not a
+    power of two (3/6 = 1/2), so the test is on N // c. A float sums
+    (c/N) * (log2(N/g) - log2(c/g)), g = gcd(c, N), over sorted counts. On
+    dyadic masses every such term is exact, so a sum mixing exact and float
+    entropies has the bits of the all-float sum (while it fits 53 bits).
     """
-    if not counts:
-        raise EmptySupport("no masses to take entropy of")
-    first = counts[0]
-    if all(c == first for c in counts):
-        m = len(counts)
-        if m & (m - 1) == 0:
-            return float(m.bit_length() - 1)
-        return math.log2(m)
+    bits = 0
+    for c in counts:
+        q, r = divmod(total, c)
+        if r or q & (q - 1):
+            break
+        bits += c * (q.bit_length() - 1)
+    else:
+        return Fraction(bits, total)
+    counts = sorted(counts)
+    if counts[0] == counts[-1]:
+        return math.log2(len(counts))
     log2, gcd = math.log2, math.gcd
     result = 0.0
     for c in counts:
@@ -80,47 +87,17 @@ def _entropy_of_counts(counts: Sequence[int], total: int) -> float:
     return result
 
 
-def _exact_entropy_of_counts(counts: Iterable[int], total: int) -> Fraction | None:
-    """Exact entropy when every count is total / 2**k; None otherwise.
-
-    For such a mass -p*log2(p) = p*k is rational, so the sum is exact. A
-    projected mass can be dyadic even when N itself is not a power of two
-    (3/6 = 1/2), so the test is on N // c, not on N.
-    """
-    bits = 0
-    for c in counts:
-        if c <= 0:
-            return None
-        q, r = divmod(total, c)
-        if r or q & (q - 1):
-            return None
-        bits += c * (q.bit_length() - 1)
-    return Fraction(bits, total)
-
-
 def _counts_over_lcm(masses: Sequence[Fraction]) -> tuple[list[int], int]:
     """The masses as integer numerators over the lcm of their denominators."""
     total = math.lcm(*(p.denominator for p in masses))
     return [p.numerator * (total // p.denominator) for p in masses], total
 
 
-def entropy_of_masses(masses: Sequence[Fraction]) -> float:
-    """Shannon entropy in bits of a normalized list of positive masses."""
-    return _entropy_of_counts(*_counts_over_lcm(masses))
-
-
-def exact_entropy_of_masses(masses: Sequence[Fraction]) -> Fraction | None:
-    """Exact entropy when every mass is 2**-k; None otherwise.
-
-    This covers non-uniform dyadic mixtures such as {1/2, 1/4, 1/4}.
-    """
-    return _exact_entropy_of_counts(*_counts_over_lcm(masses))
-
-
 def _parse_probability(value) -> Fraction:
-    if isinstance(value, float):
+    if isinstance(value, (bool, float)):
         raise InvalidProbability(
-            f"probability {value!r} is a float; pass a Fraction, int or 'num/den' string"
+            f"probability {value!r} is a {type(value).__name__}; "
+            "pass a Fraction, int or 'num/den' string"
         )
     try:
         p = Fraction(value)
@@ -268,73 +245,37 @@ class JointDistribution:
 
     def entropy(self, group: GroupLike) -> float:
         """H(group) in bits; exact integer for equal dyadic masses."""
-        counts = self._project_counts(self.resolve(group))
-        return _entropy_of_counts(sorted(counts.values()), self._denominator)
+        return float(Measurement(self).entropy(self.resolve(group)))
 
     def entropy_exact(self, group: GroupLike) -> Fraction | None:
         """Exact rational H(group) when all marginal masses are 2**-k."""
-        counts = self._project_counts(self.resolve(group))
-        return _exact_entropy_of_counts(counts.values(), self._denominator)
+        h = Measurement(self).entropy(self.resolve(group))
+        return h if isinstance(h, Fraction) else None
 
     def conditional_entropy(self, group: GroupLike, given: GroupLike = ()) -> float:
         """H(group | given) = H(group ∪ given) - H(given)."""
         g = self.resolve(group)
-        if _is_empty_selector(given):
-            return self.entropy(g)
-        cond = self.resolve(given)
-        joint = tuple(sorted(set(g) | set(cond)))
-        return self.entropy(joint) - self.entropy(cond)
+        cond = () if _is_empty_selector(given) else self.resolve(given)
+        m = Measurement(self)
+        return float(m.entropy(_union(g, cond)) - m.entropy(cond))
 
     def mutual_information(self, a: GroupLike, b: GroupLike) -> float:
         """I(a;b) = H(a) + H(b) - H(a ∪ b)."""
-        ia, ib = self.resolve(a), self.resolve(b)
-        joint = tuple(sorted(set(ia) | set(ib)))
-        return self.entropy(ia) + self.entropy(ib) - self.entropy(joint)
+        return float(Measurement(self).mutual_information(self.resolve(a), self.resolve(b)))
 
     def mutual_information_exact(self, a: GroupLike, b: GroupLike) -> Fraction | None:
         """Exact I(a;b) when all three entropies have exact dyadic form."""
-        ia, ib = self.resolve(a), self.resolve(b)
-        joint = tuple(sorted(set(ia) | set(ib)))
-        ha = self.entropy_exact(ia)
-        hb = self.entropy_exact(ib)
-        hab = self.entropy_exact(joint)
-        if ha is None or hb is None or hab is None:
-            return None
-        return ha + hb - hab
+        i = Measurement(self).mutual_information(self.resolve(a), self.resolve(b))
+        return i if isinstance(i, Fraction) else None
 
     def is_deterministic(self, group: GroupLike, given: GroupLike = ()) -> bool:
-        """True iff H(group | given) = 0, checked exactly on the support."""
-        g = self.resolve(group)
+        """True iff H(group | given) = 0, checked exactly on the count tables."""
         cond = () if _is_empty_selector(given) else self.resolve(given)
-        seen: dict[Outcome, Outcome] = {}
-        for outcome, _ in self.support:
-            key = tuple(outcome[i] for i in cond)
-            val = tuple(outcome[i] for i in g)
-            if seen.setdefault(key, val) != val:
-                return False
-        return True
+        return Measurement(self).is_deterministic(self.resolve(group), cond)
 
     def is_independent(self, a: GroupLike, b: GroupLike) -> bool:
         """True iff the joint pmf of a and b factorizes exactly."""
-        ia, ib = self.resolve(a), self.resolve(b)
-        if set(ia) & set(ib):
-            return False
-        joint = tuple(sorted(set(ia) | set(ib)))
-        pa = self._project_counts(ia)
-        pb = self._project_counts(ib)
-        pab = self._project_counts(joint)
-        # Every product of positive marginal masses must appear in the joint.
-        if len(pab) != len(pa) * len(pb):
-            return False
-        n = self._denominator
-        at_a = [joint.index(i) for i in ia]
-        at_b = [joint.index(i) for i in ib]
-        for key, c_ab in pab.items():
-            c_a = pa[tuple([key[j] for j in at_a])]
-            c_b = pb[tuple([key[j] for j in at_b])]
-            if c_ab * n != c_a * c_b:
-                return False
-        return True
+        return Measurement(self).is_independent(self.resolve(a), self.resolve(b))
 
     # -- serialization -----------------------------------------------------
 
@@ -376,6 +317,59 @@ class JointDistribution:
 
     def __iter__(self) -> Iterator[tuple[Outcome, Fraction]]:
         return iter(self.support)
+
+
+class Measurement:
+    """Shannon quantities of one distribution, read off marginal count
+    tables that are each projected once. Groups are sorted index tuples, as
+    :meth:`JointDistribution.resolve` returns them; values are exact where
+    :func:`_entropy` allows. It keeps every table, so build one per call.
+    """
+
+    __slots__ = ("dist", "_tables")
+
+    def __init__(self, dist: JointDistribution):
+        self.dist = dist
+        self._tables: dict[tuple[int, ...], dict[Outcome, int]] = {}
+
+    def _table(self, indices: tuple[int, ...]) -> dict[Outcome, int]:
+        """Marginal counts over the distribution's common denominator."""
+        table = self._tables.get(indices)
+        if table is None:
+            table = self._tables[indices] = self.dist._project_counts(indices)
+        return table
+
+    def entropy(self, group: tuple[int, ...]) -> Fraction | float:
+        return _entropy(self._table(group).values(), self.dist._denominator)
+
+    def mutual_information(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction | float:
+        return self.entropy(a) + self.entropy(b) - self.entropy(_union(a, b))
+
+    def is_deterministic(self, group: tuple[int, ...], given: tuple[int, ...]) -> bool:
+        """H(group | given) = 0: each value of `given` meets one value of `group`."""
+        return len(self._table(_union(group, given))) == len(self._table(given))
+
+    def is_independent(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        if set(a) & set(b):
+            return False
+        joint = _union(a, b)
+        pa, pb, pab = self._table(a), self._table(b), self._table(joint)
+        # Every product of positive marginal masses must appear in the joint.
+        if len(pab) != len(pa) * len(pb):
+            return False
+        n = self.dist._denominator
+        at_a = [joint.index(i) for i in a]
+        at_b = [joint.index(i) for i in b]
+        for key, c_ab in pab.items():
+            c_a = pa[tuple([key[j] for j in at_a])]
+            c_b = pb[tuple([key[j] for j in at_b])]
+            if c_ab * n != c_a * c_b:
+                return False
+        return True
+
+
+def _union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(set(a) | set(b)))
 
 
 def _is_empty_selector(group: GroupLike) -> bool:

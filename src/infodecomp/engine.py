@@ -60,7 +60,7 @@ from itertools import combinations, permutations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
+from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution, Measurement
 from .errors import PropagationDidNotConverge, StateStillOpen, UnsupportedArity
 from .lattice import Antichain, enumerate_full, leq
 
@@ -180,7 +180,11 @@ class WespReport:
     certificate: Certificate | None
 
 
-def _snap(value: float, tol: float) -> Fraction:
+def _snap(value: Fraction | float, tol: float) -> Fraction:
+    """An exact value as it is; a float as the nearest integer within `tol`,
+    else as the rational it stores."""
+    if isinstance(value, Fraction):
+        return value
     nearest = round(value)
     if abs(value - nearest) <= tol:
         return Fraction(nearest)
@@ -376,19 +380,16 @@ def build_constraints(
     def union_indices(scope: Scope) -> tuple[int, ...]:
         return tuple(sorted({i for member in scope for i in groups[member - 1]}))
 
-    mi: dict[Scope, Fraction] = {}
-    for s in _SCOPES:
-        sel = union_indices(s)
-        exact = d.mutual_information_exact(sel, tgt)
-        mi[s] = exact if exact is not None else _snap(d.mutual_information(sel, tgt), tol)
+    m = Measurement(d)
+    mi = {s: _snap(m.mutual_information(union_indices(s), tgt), tol) for s in _SCOPES}
 
     # Exact structural facts about the distribution: the firing of each rule
     # that fired, with its human-readable note.
     fired: dict[tuple, str] = {}
     for i, j in combinations(_FULL_SCOPE, 2):
         union = union_indices((i, j))
-        independent = d.is_independent(groups[i - 1], groups[j - 1])
-        equivalent = d.is_deterministic(tgt, union) and d.is_deterministic(union, tgt)
+        independent = m.is_independent(groups[i - 1], groups[j - 1])
+        equivalent = m.is_deterministic(tgt, union) and m.is_deterministic(union, tgt)
         if independent and equivalent:
             fired["independent-identity", (i, j)] = (
                 f"independent-identity fired for sources {i},{j}: independent pair, "
@@ -397,7 +398,7 @@ def build_constraints(
     for i in _FULL_SCOPE:
         rest = tuple(x for x in _FULL_SCOPE if x != i)
         covered = tuple(sorted(set(tgt) | set(groups[i - 1])))
-        if d.is_deterministic(covered, union_indices(rest)):
+        if m.is_deterministic(covered, union_indices(rest)):
             fired["determinism", i] = (
                 f"determinism fired for source {i}: sources {rest[0]},{rest[1]} "
                 f"determine the target and source {i}"

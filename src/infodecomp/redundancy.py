@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import (
-    GroupLike,
-    JointDistribution,
-    Outcome,
-    _entropy_of_counts,
-    _exact_entropy_of_counts,
-)
+from .dist import GroupLike, JointDistribution, Outcome, _entropy
 from .errors import EmptySupport
 
 
@@ -52,15 +46,14 @@ class CommonPartition:
     """Support partition realizing the maximal common variable Q.
 
     Blocks are ordered by their smallest outcome in canonical support order,
-    so repeated runs produce identical output. `value` is H(Q) in bits;
-    `value_exact` is its exact rational form when all block masses are
-    powers of two.
+    so repeated runs produce identical output. `value` is H(Q) in bits, an
+    exact Fraction when every block mass is a power of 1/2 and a float
+    otherwise.
     """
 
     blocks: tuple[tuple[Outcome, ...], ...]
     block_probabilities: tuple[Fraction, ...]
-    value: float
-    value_exact: Fraction | None
+    value: Fraction | float
 
 
 def common_partition(
@@ -96,14 +89,13 @@ def common_partition(
     return CommonPartition(
         blocks=blocks,
         block_probabilities=tuple(Fraction(c, n) for c in block_counts),
-        value=_entropy_of_counts(sorted(block_counts), n),
-        value_exact=_exact_entropy_of_counts(block_counts, n),
+        value=_entropy(block_counts, n),
     )
 
 
 def red3(d: JointDistribution, s1: GroupLike, s2: GroupLike, s3: GroupLike) -> float:
     """Three-way redundancy: H(Q) of the common partition of the sources."""
-    return common_partition(d, [s1, s2, s3]).value
+    return float(common_partition(d, [s1, s2, s3]).value)
 
 
 def red2(d: JointDistribution, s1: GroupLike, s2: GroupLike) -> float:

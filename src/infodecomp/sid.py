@@ -16,12 +16,13 @@ check that holds exactly in the stored values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution
+from .dist import DEFAULT_TOLERANCE, GroupLike, JointDistribution, Measurement
 from .errors import AxiomViolated, NegativeRedundancy, RankDeficient, ResidualTooLarge
 from .lattice import Antichain
 from .redundancy import common_partition
@@ -88,11 +89,10 @@ class EntropyVector:
     ) -> "EntropyVector":
         """Measure the seven entropies, exactly where the masses allow it."""
         groups = [d.resolve(s) for s in (s1, s2, s3)]
+        m = Measurement(d)
 
         def h(*which: int) -> Fraction | float:
-            sel = tuple(sorted({i for w in which for i in groups[w]}))
-            exact = d.entropy_exact(sel)
-            return exact if exact is not None else d.entropy(sel)
+            return m.entropy(tuple(sorted({i for w in which for i in groups[w]})))
 
         return cls(h(0), h(1), h(2), h(0, 1), h(0, 2), h(1, 2), h(0, 1, 2))
 
@@ -107,6 +107,10 @@ class EntropyVector:
         """
         if not tol >= 0:
             raise ValueError(f"tolerance must be >= 0, got {tol}")
+        if tol == math.inf:
+            return
+        # One conversion here, not one per comparison with a float.
+        tol = Fraction(tol)
         h = {
             frozenset(): Fraction(0),
             frozenset({1}): self.h1,
@@ -198,8 +202,7 @@ def _measure_and_solve(
     """The entropy vector, measured once, and the table :func:`decompose` solves."""
     ev = EntropyVector.from_distribution(d, *groups)
     if red is None:
-        part = common_partition(d, list(groups))
-        red = part.value_exact if part.value_exact is not None else part.value
+        red = common_partition(d, list(groups)).value
     return ev, si_atoms(ev, red, tol)
 
 

@@ -1,7 +1,9 @@
-"""Shared fixtures: reference systems and a seeded random dyadic corpus."""
+"""Shared fixtures and test-only references: the reference systems, a seeded
+random dyadic corpus, random grid systems and the Fraction entropy formulas."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -34,6 +36,49 @@ def random_dyadic_system(rng: random.Random, max_alphabet: int = 4) -> JointDist
     )
 
 
+def grid_system(rng, denominator=16):
+    """Four variables with 2-3 values and masses on a 1/denominator grid."""
+    sizes = [rng.choice((2, 3)) for _ in range(4)]
+    cells = list(product(*(range(k) for k in sizes)))
+    chosen = rng.sample(cells, rng.randint(1, min(len(cells), denominator)))
+    counts = [1] * len(chosen)
+    for _ in range(denominator - len(chosen)):
+        counts[rng.randrange(len(chosen))] += 1
+    return JointDistribution.from_pmf(
+        [(cell, Fraction(c, denominator)) for cell, c in zip(chosen, counts)],
+        ["W", "X", "Y", "Z"],
+        [list(range(k)) for k in sizes],
+    )
+
+
+def grid_systems(count=200, seed=3, denominator=16):
+    rng = random.Random(seed)
+    return [grid_system(rng, denominator) for _ in range(count)]
+
+
+def one_third_system() -> JointDistribution:
+    """{(0,0,0), (1,0,1), (1,1,0)} at 1/3 each: no mass is a power of 1/2."""
+    return JointDistribution.from_pmf(
+        [(o, Fraction(1, 3)) for o in ((0, 0, 0), (1, 0, 1), (1, 1, 0))],
+        ["A", "B", "C"],
+        [[0, 1]] * 3,
+    )
+
+
+@pytest.fixture
+def projections(monkeypatch) -> list[tuple[int, ...]]:
+    """The index tuples of every marginal projection made during the test."""
+    calls = []
+    project = JointDistribution._project_counts
+
+    def counted(self, indices):
+        calls.append(indices)
+        return project(self, indices)
+
+    monkeypatch.setattr(JointDistribution, "_project_counts", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus() -> list[JointDistribution]:
     rng = random.Random(CORPUS_SEED)
@@ -53,6 +98,28 @@ def system1_subtargets():
 @pytest.fixture(scope="session")
 def system2():
     return build_system2()
+
+
+def fraction_entropy(masses) -> float:
+    """The float entropy formula on reduced Fractions, in sorted order."""
+    masses = sorted(masses)
+    m = len(masses)
+    if all(p == masses[0] for p in masses):
+        return float(m.bit_length() - 1) if m & (m - 1) == 0 else math.log2(m)
+    total = 0.0
+    for p in masses:
+        total += float(p) * (math.log2(p.denominator) - math.log2(p.numerator))
+    return total
+
+
+def fraction_exact_entropy(masses) -> Fraction | None:
+    """The exact entropy when every mass is 2**-k, summed as Fractions; else None."""
+    total = Fraction(0)
+    for p in masses:
+        if p.numerator != 1 or p.denominator & (p.denominator - 1):
+            return None
+        total += p * (p.denominator.bit_length() - 1)
+    return total
 
 
 def set_partitions(items: list):
@@ -79,8 +146,6 @@ def gk_bruteforce(d: JointDistribution, sources) -> list[Fraction]:
     observed = sorted({tuple(o[i] for i in first) for o, _ in d.support})
     best_masses: list[Fraction] | None = None
     best_entropy = -1.0
-    from infodecomp.dist import entropy_of_masses
-
     for partition in set_partitions(observed):
         label = {v: bi for bi, block in enumerate(partition) for v in block}
         feasible = True
@@ -100,7 +165,8 @@ def gk_bruteforce(d: JointDistribution, sources) -> list[Fraction]:
         for outcome, p in d.support:
             lab = label[tuple(outcome[i] for i in first)]
             masses[lab] = masses.get(lab, Fraction(0)) + p
-        h = entropy_of_masses(sorted(masses.values()))
+        # Only ranks partitions: the finest feasible one is strictly the largest.
+        h = -sum(float(p) * math.log2(p) for p in masses.values())
         if h > best_entropy:
             best_entropy = h
             best_masses = sorted(masses.values())

@@ -341,6 +341,31 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["mutual-info", "--builtin", "system1", "--a", "S1++S2", "--b", "T"],
+        ["mutual-info", "--builtin", "system1", "--a", "S1+S2+", "--b", "T"],
+        ["entropy", "--builtin", "system2", "--group", "+T"],
+        ["redundancy-gk", "--builtin", "system2", "--sources", "S1,S2,S3,"],
+        ["decompose-sid", "--builtin", "system2", "--sources", "S1,,S2,S3"],
+        ["pid-deduce", "--builtin", "system2", "--sources", "S1,S2,S3", "--target", "T+"],
+    ])
+    def test_empty_piece_of_a_group_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: empty ")
+
+    @pytest.mark.parametrize("p, kind", [(True, "bool"), (1.0, "float")])
+    def test_probability_must_not_be_a_bool_or_float(self, capsys, tmp_path, p, kind):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({
+            "variables": ["X"], "alphabets": [[0]], "pmf": [{"outcome": [0], "p": p}],
+        }))
+        code, out, err = run(capsys, "entropy", "--input", str(path), "--group", "X")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: probability {p!r} is a {kind}; pass a Fraction, int or 'num/den' string\n"
+        )
+
     def test_unknown_group_is_input_error(self, capsys):
         code, _, err = run(
             capsys, "entropy", "--builtin", "system2", "--group", "nope"

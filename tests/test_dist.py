@@ -1,6 +1,5 @@
 """Distribution construction, Shannon primitives, circuits and file formats."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,7 +8,7 @@ import pytest
 
 from infodecomp import CircuitSpec, JointDistribution, from_circuit
 from infodecomp.dist import DEFAULT_TOLERANCE as TOL
-from infodecomp.dist import entropy_of_masses, exact_entropy_of_masses
+from infodecomp.dist import Measurement
 from infodecomp.errors import (
     AlphabetViolation,
     CyclicDefinition,
@@ -20,6 +19,12 @@ from infodecomp.errors import (
     SupportTooLarge,
     UnknownBit,
     UnknownVariable,
+)
+from conftest import (
+    fraction_entropy,
+    fraction_exact_entropy,
+    grid_systems,
+    one_third_system,
 )
 
 BIT = [0, 1]
@@ -81,6 +86,10 @@ class TestFromPmf:
     def test_float_probability_rejected(self):
         with pytest.raises(InvalidProbability):
             JointDistribution.from_pmf([((0,), 0.5), ((1,), 0.5)], ["X"], [BIT])
+
+    def test_bool_probability_rejected(self):
+        with pytest.raises(InvalidProbability, match="is a bool"):
+            JointDistribution.from_pmf([((0,), True)], ["X"], [BIT])
 
     def test_all_zero_mass_rejected(self):
         with pytest.raises(EmptySupport):
@@ -273,50 +282,9 @@ def fraction_masses(d, group):
     return masses
 
 
-def fraction_entropy(masses):
-    """The float entropy formula on reduced Fractions, in sorted order."""
-    masses = sorted(masses)
-    m = len(masses)
-    if all(p == masses[0] for p in masses):
-        return float(m.bit_length() - 1) if m & (m - 1) == 0 else math.log2(m)
-    total = 0.0
-    for p in masses:
-        total += float(p) * (math.log2(p.denominator) - math.log2(p.numerator))
-    return total
-
-
-def fraction_exact_entropy(masses):
-    total = Fraction(0)
-    for p in masses:
-        if p.numerator != 1 or p.denominator & (p.denominator - 1):
-            return None
-        total += p * (p.denominator.bit_length() - 1)
-    return total
-
-
 def all_groups(d):
     indices = range(len(d.variables))
     return [g for k in range(1, len(d.variables) + 1) for g in combinations(indices, k)]
-
-
-def grid_system(rng, denominator=16):
-    """Four variables with 2-3 values and masses on a 1/denominator grid."""
-    sizes = [rng.choice((2, 3)) for _ in range(4)]
-    cells = list(product(*(range(k) for k in sizes)))
-    chosen = rng.sample(cells, rng.randint(1, min(len(cells), denominator)))
-    counts = [1] * len(chosen)
-    for _ in range(denominator - len(chosen)):
-        counts[rng.randrange(len(chosen))] += 1
-    return JointDistribution.from_pmf(
-        [(cell, Fraction(c, denominator)) for cell, c in zip(chosen, counts)],
-        ["W", "X", "Y", "Z"],
-        [list(range(k)) for k in sizes],
-    )
-
-
-def grid_systems(count=200, seed=3):
-    rng = random.Random(seed)
-    return [grid_system(rng) for _ in range(count)]
 
 
 def assert_kernel_matches_fractions(d):
@@ -369,21 +337,6 @@ class TestIntegerCounts:
         assert d.entropy_exact("B") is None
         assert d.entropy_exact(["A", "B"]) is None
 
-    def test_mass_wrappers_agree_with_the_fraction_formulas(self):
-        cases = [
-            [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)],
-            [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
-            [Fraction(1, 3)] * 3,
-            [Fraction(1, 4)] * 4,
-            [Fraction(3, 16), Fraction(5, 16), Fraction(1, 2)],
-        ]
-        for masses in cases:
-            assert repr(entropy_of_masses(masses)) == repr(fraction_entropy(masses))
-            assert exact_entropy_of_masses(masses) == fraction_exact_entropy(masses)
-        assert exact_entropy_of_masses([Fraction(0), Fraction(1)]) is None
-        with pytest.raises(EmptySupport):
-            entropy_of_masses([])
-
     def test_independence_agrees_with_brute_force_factorization(self, system1, system2):
         systems = grid_systems(count=120, seed=11) + [system1.dist, system2.dist]
         # Product pmfs, so that the factorizing case is exercised too.
@@ -418,3 +371,47 @@ class TestIntegerCounts:
                     factorized += expected
         assert factorized > 0
 
+
+
+def support_scan_is_deterministic(d, group, given):
+    """H(group | given) = 0 by a scan of the support: no value of `given`
+    meets two values of `group`."""
+    seen = {}
+    for outcome, _ in d.support:
+        key = tuple(outcome[i] for i in given)
+        value = tuple(outcome[i] for i in group)
+        if seen.setdefault(key, value) != value:
+            return False
+    return True
+
+
+class TestMeasurement:
+    def test_determinism_agrees_with_a_support_scan(self, corpus):
+        systems = corpus + grid_systems() + grid_systems(count=200, seed=7, denominator=12)
+        verdicts = set()
+        for d in systems:
+            m = Measurement(d)
+            groups = all_groups(d)
+            for group in groups:
+                for given in [(), *groups]:
+                    expected = support_scan_is_deterministic(d, group, given)
+                    assert m.is_deterministic(group, given) == expected, (group, given)
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_each_marginal_is_projected_once(self, projections):
+        d = one_third_system()
+        m = Measurement(d)
+        for _ in range(2):
+            m.mutual_information((0,), (1, 2))
+            m.is_deterministic((0,), (1, 2))
+            m.is_independent((0,), (1, 2))
+        assert sorted(projections) == [(0,), (0, 1, 2), (1, 2)]
+
+    def test_values_are_exact_only_where_every_mass_is_dyadic(self):
+        floats = Measurement(one_third_system())  # masses 1/3 and 2/3
+        assert type(floats.entropy((0,))) is float
+        assert type(floats.mutual_information((0,), (1,))) is float
+        exact = Measurement(xor_triple_pmf())
+        h, i = exact.entropy((0,)), exact.mutual_information((0,), (1,))
+        assert (type(h), h, type(i), i) == (Fraction, 1, Fraction, 0)

@@ -16,6 +16,7 @@ from infodecomp import (
 from infodecomp.engine import assignment_violations
 from infodecomp.errors import EngineError, LatticeError, StateStillOpen, UnsupportedArity
 from infodecomp.lattice import Antichain, parse_antichain
+from conftest import grid_systems
 
 BIT = [0, 1]
 S123 = (("S1",), ("S2",), ("S3",))
@@ -82,6 +83,15 @@ class TestBuildConstraints:
             build_constraints(system2.dist, (("S1",), ("S2",)), ("T",))
         with pytest.raises(ValueError):
             build_constraints(system2.dist, S123, ("T",), mutual_sums="some")
+
+    def test_each_marginal_is_projected_once(self, projections):
+        # Masses on a 1/12 grid, so that most information values are floats.
+        d = grid_systems(count=1, seed=9, denominator=12)[0]
+        assert d.mutual_information_exact((0, 1, 2), 3) is None
+        projections.clear()
+        build_constraints(d, ((0,), (1,), (2,)), (3,))
+        # Seven source unions, the target, and the target with each union.
+        assert len(projections) == len(set(projections)) == 15
 
     def test_wrong_arity_is_caught_as_engine_and_lattice_error(self, system2):
         for base in (EngineError, LatticeError):

@@ -7,8 +7,13 @@ import pytest
 
 from infodecomp import JointDistribution, common_partition, red2, red3
 from infodecomp.dist import DEFAULT_TOLERANCE as TOL
-from infodecomp.dist import entropy_of_masses, exact_entropy_of_masses
-from conftest import SOURCES_ABC, gk_bruteforce
+from conftest import (
+    SOURCES_ABC,
+    fraction_entropy,
+    fraction_exact_entropy,
+    gk_bruteforce,
+    one_third_system,
+)
 
 BIT = [0, 1]
 
@@ -37,14 +42,24 @@ class TestCommonPartition:
     def test_copy_system_has_two_blocks(self):
         part = common_partition(copy_triple(), list(SOURCES_ABC))
         assert len(part.blocks) == 2
-        assert part.value == 1.0
-        assert part.value_exact == 1
+        assert part.value == 1
+        assert type(part.value) is Fraction
         assert part.block_probabilities == (Fraction(1, 2), Fraction(1, 2))
 
     def test_independent_coins_collapse_to_one_block(self):
         part = common_partition(independent_coins(), list(SOURCES_ABC))
         assert len(part.blocks) == 1
         assert part.value == 0.0
+
+    def test_value_is_exact_on_dyadic_blocks_and_a_float_otherwise(self):
+        d = one_third_system()
+        one_block = common_partition(d, list(SOURCES_ABC)).value
+        assert (type(one_block), one_block) == (Fraction, 0)
+        # A alone splits off the first outcome: blocks of 1/3 and 2/3.
+        two_blocks = common_partition(d, [("A",), ("B", "C")])
+        assert two_blocks.block_probabilities == (Fraction(1, 3), Fraction(2, 3))
+        assert type(two_blocks.value) is float
+        assert repr(two_blocks.value) == repr(fraction_entropy(two_blocks.block_probabilities))
 
     def test_xor_triple_has_trivial_common_part(self, system2):
         part = common_partition(system2.dist, [("S1",), ("S2",), ("S3",)])
@@ -162,6 +177,9 @@ class TestBlockProbabilities:
             )
             assert part.block_probabilities == expected
             assert all(type(p) is Fraction for p in part.block_probabilities)
-            assert repr(part.value) == repr(entropy_of_masses(sorted(expected)))
-            assert part.value_exact == exact_entropy_of_masses(expected)
+            exact = fraction_exact_entropy(expected)
+            if exact is None:
+                assert repr(part.value) == repr(fraction_entropy(expected))
+            else:
+                assert (type(part.value), part.value) == (Fraction, exact)
 

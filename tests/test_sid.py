@@ -24,7 +24,7 @@ from infodecomp.errors import AxiomViolated, NegativeRedundancy, ResidualTooLarg
 from infodecomp.lattice import Antichain, enumerate_half, parse_antichain
 from infodecomp.sid import SIAtomTable, exact_rank
 
-from conftest import SOURCES_ABC
+from conftest import SOURCES_ABC, one_third_system
 
 BIT = [0, 1]
 
@@ -109,6 +109,32 @@ class TestClosedForm:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             EntropyVector(1, 1, 1, 2, 2, 2, 3).validate(-1e-9)
+
+    def test_entropy_vector_projects_each_marginal_once(self, projections):
+        ev = EntropyVector.from_distribution(one_third_system(), *SOURCES_ABC)
+        assert ev.h123 == Fraction(math.log2(3))
+        assert sorted(projections) == [
+            (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)
+        ]
+
+    def test_validate_converts_the_tolerance_once(self, corpus, monkeypatch):
+        from_float = Fraction.from_float.__func__
+        calls = []
+
+        def counted(cls, f):
+            calls.append(f)
+            return from_float(cls, f)
+
+        vectors = [EntropyVector.from_distribution(d, *SOURCES_ABC) for d in corpus[:50]]
+        monkeypatch.setattr(Fraction, "from_float", classmethod(counted))
+        for ev in vectors:
+            for tol in (0.0, TOL, 0.5, math.inf):
+                calls.clear()
+                try:
+                    ev.validate(tol)
+                except ValueError:
+                    pass
+                assert len(calls) <= 1, tol
 
 
 #: The subsets of {1, 2, 3} in the order EntropyVector.validate visits them.
